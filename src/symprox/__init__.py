@@ -52,7 +52,6 @@ from .scalarprox import (
     project_l1_ball,
     prox_noisy_burg_quartic,
     soft,
-    solve_increasing_root,
 )
 from .spectralprox import SpectralProxRequest, bregman_div, bregman_prox, prox_spectral
 from .splitting import (

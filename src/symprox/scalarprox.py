@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BracketingError, ConfigurationError, DomainError
+from .errors import BracketingError, ConfigurationError, DomainError, NumericError
 
 _DIV_KINDS = ("half_square", "burg", "shannon", "noisy_burg")
 _PEN_KINDS = (
@@ -51,7 +51,6 @@ _SUPPORTED = {
 }
 
 _IND_SLACK = 1e-10  # float-dust slack when evaluating indicator penalties
-_EPS_BRACKET = 1e-14
 
 
 @dataclass(frozen=True)
@@ -279,71 +278,99 @@ def project_l1_ball(v, radius):
     return np.sign(v) * np.maximum(a - tau, 0.0)
 
 
-def solve_increasing_root(f, lo, hi, tol=1e-12, max_iter=200, df=None):
-    """Root of f on [lo, hi] given f(lo) <= 0 <= f(hi).
+def _newton_bisect_vec(hdh, hi, tol=1e-12, max_iter=200):
+    """Vectorized safeguarded Newton-bisection for the root in [0, inf) of an
+    elementwise-increasing h, where hdh(x) returns (h(x), h'(x)).
 
-    Safeguarded Newton (when df is given) or Illinois secant steps, each
-    clipped into the current sign bracket; accuracy tol*max(1, |root|).
+    The bracket is [0, hi] (hi > 0), with hi doubled until h(hi) >= 0.
+    Steps stop below tol*max(|x|, tol): relative accuracy, so that roots far
+    below 1 keep their digits, with an absolute floor of tol**2 that a root
+    underflowing to 0 reaches within max_iter halvings.  Raises
+    BracketingError when h(0) > 0 or no finite upper end exists, and
+    NumericError when elements are still unconverged after max_iter steps.
     """
-    a, b = float(lo), float(hi)
-    fa, fb = f(a), f(b)
-    if not (fa <= 0.0 <= fb):
-        raise BracketingError(f"invalid bracket: f({a})={fa}, f({b})={fb}")
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
-    x = 0.5 * (a + b)
-    side = 0
-    for _ in range(max_iter):
-        fx = f(x)
-        if fx == 0.0:
-            return x
-        if fx < 0.0:
-            a, fa = x, fx
-            if side == -1:
-                fb *= 0.5
-            side = -1
-        else:
-            b, fb = x, fx
-            if side == 1:
-                fa *= 0.5
-            side = 1
-        if b - a <= tol * max(1.0, abs(x)):
-            return x
-        if df is not None:
-            d = df(x)
-            xn = x - fx / d if d != 0.0 else 0.5 * (a + b)
-        elif fb != fa:
-            xn = b - fb * (b - a) / (fb - fa)
-        else:
-            xn = 0.5 * (a + b)
-        if not (a < xn < b) or not math.isfinite(xn):
-            xn = 0.5 * (a + b)
-        x = xn
-    return 0.5 * (a + b)
-
-
-def _newton_bisect_vec(f, df, lo, hi, tol=1e-12, max_iter=200):
-    """Vectorized safeguarded Newton-bisection for elementwise-increasing f
-    with f(lo) <= 0 <= f(hi) elementwise."""
-    a = np.array(lo, float, copy=True)
     b = np.array(hi, float, copy=True)
+    a = np.zeros_like(b)
+    with np.errstate(all="ignore"):
+        ha = hdh(a)[0]
+        hb = hdh(b)[0]
+        short = ~(hb >= 0.0)
+        while short.any():
+            b = np.where(short, 2.0 * b, b)
+            if not np.isfinite(b).all():
+                raise BracketingError(f"no upper bracket end for {int(short.sum())} elements")
+            hb = hdh(b)[0]
+            short = ~(hb >= 0.0)
+    if not np.all(ha <= 0.0):
+        raise BracketingError(f"h(0) > 0 for {int((~(ha <= 0.0)).sum())} elements")
+    b = np.where(ha == 0.0, 0.0, b)  # a root at 0 is returned exactly
     x = 0.5 * (a + b)
     for _ in range(max_iter):
         with np.errstate(all="ignore"):
-            fx = f(x)
-        neg = fx < 0.0
+            hx, dhx = hdh(x)
+            xn = x - hx / dhx
+        neg = hx < 0.0
         a = np.where(neg, x, a)
         b = np.where(neg, b, x)
-        with np.errstate(all="ignore"):
-            xn = x - fx / df(x)
         bad = ~np.isfinite(xn) | (xn <= a) | (xn >= b)
         xn = np.where(bad, 0.5 * (a + b), xn)
-        if np.all(np.abs(xn - x) <= tol * np.maximum(1.0, np.abs(xn))):
+        open_ = np.abs(xn - x) > tol * np.maximum(tol, np.abs(xn))
+        if not open_.any():
             return xn
         x = xn
-    return x
+    raise NumericError(
+        f"root solver: {int(open_.sum())} of {x.size} elements did not converge "
+        f"in {max_iter} steps"
+    )
+
+
+# phi'(d), phi''(d) of each divergence on the interior of its domain
+_DPHI = {
+    "half_square": lambda s2, d: (d, 1.0),
+    "burg": lambda s2, d: (-1.0 / d, 1.0 / (d * d)),
+    "shannon": lambda s2, d: (np.log(d) + 1.0, 1.0 / d),
+    "noisy_burg": lambda s2, d: (
+        -1.0 / (d * (1.0 + s2 * d)),
+        (1.0 + 2.0 * s2 * d) / (d * (1.0 + s2 * d)) ** 2,
+    ),
+}
+# psi'(d), psi''(d) of each root-solved penalty on d >= 0
+_DPSI = {
+    "none": lambda mu, p, d: (0.0, 0.0),
+    "schatten": lambda mu, p, d: (
+        mu * p * d ** (p - 1.0),
+        mu * p * (p - 1.0) * d ** (p - 2.0),
+    ),
+    "inv_schatten": lambda mu, p, d: (
+        -mu * p * d ** (-p - 1.0),
+        mu * p * (p + 1.0) * d ** (-p - 2.0),
+    ),
+}
+
+
+def _stationarity(div, pen, lin, target):
+    """hdh(d) = (h(d), h'(d)) for h(d) = lin*d - target + phi'(d) + psi'(d).
+
+    Kernel rows use lin = 1/gamma, target = lam/gamma; Bregman rows use
+    lin = 0, target = phi'(y).  h is increasing in d for every row.
+    """
+    if pen.kind not in _DPSI:
+        raise ConfigurationError(f"penalty '{pen.kind}' has no root-solved {div.kind} prox")
+    dphi, dpsi = _DPHI[div.kind], _DPSI[pen.kind]
+    s2, mu, p = div.sigma2, pen.mu, pen.p
+
+    def hdh(d):
+        f1, f2 = dphi(s2, d)
+        g1, g2 = dpsi(mu, p, d)
+        return lin * d - target + f1 + g1, lin + f2 + g2
+
+    return hdh
+
+
+def _kernel_root_vec(div, pen, g, lam):
+    """Root-solved kernel prox: (d - lam)/g + phi'(d) + psi'(d) = 0."""
+    hdh = _stationarity(div, pen, 1.0 / g, lam / g)
+    return _newton_bisect_vec(hdh, np.maximum(lam, 0.0) + 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +462,8 @@ def _prox_obj(k, gamma, lam, d):
 # prox: half-square divergence rows
 
 
-def _hs_schatten_vec(mu, p, g, lam):
+def _hs_schatten_vec(div, pen, g, lam):
+    mu, p = pen.mu, pen.p
     if p == 1.0:
         return soft(g * mu / (g + 1.0), lam / (g + 1.0))
     if p == 2.0:
@@ -458,32 +486,11 @@ def _hs_schatten_vec(mu, p, g, lam):
         w = 9.0 * g * g * mu * mu / (8.0 * (1.0 + g))
         r = np.sqrt(1.0 + 16.0 * (1.0 + g) * np.abs(lam) / (9.0 * g * g * mu * mu))
         return (lam + w * np.sign(lam) * (1.0 - r)) / (1.0 + g)
-    al = np.abs(lam)
-
-    def f(t):
-        return mu * g * p * t ** (p - 1.0) + (g + 1.0) * t - al
-
-    def dfdt(t):
-        return mu * g * p * (p - 1.0) * np.maximum(t, 1e-300) ** (p - 2.0) + (g + 1.0)
-
-    t = _newton_bisect_vec(f, dfdt, np.zeros_like(al), al / (g + 1.0))
-    return np.sign(lam) * t
+    # the prox is odd in lam: solve for |d| at |lam|
+    return np.sign(lam) * _kernel_root_vec(div, pen, g, np.abs(lam))
 
 
-def _hs_inv_schatten_vec(mu, p, g, lam):
-    hi = np.maximum(lam, 0.0) + 10.0 * max(1.0, math.sqrt(g), (g * mu * p) ** (1.0 / p))
-    lo = np.full_like(lam, _EPS_BRACKET)
-
-    def f(d):
-        return (1.0 + g) * d - lam - g * mu * p * d ** (-p - 1.0)
-
-    def dfdt(d):
-        return (1.0 + g) + g * mu * p * (p + 1.0) * d ** (-p - 2.0)
-
-    return _newton_bisect_vec(f, dfdt, lo, hi)
-
-
-def _prox_hs_vec(pen, g, lam):
+def _prox_hs_vec(div, pen, g, lam):
     k = pen.kind
     if k == "none":
         return lam / (1.0 + g)
@@ -494,10 +501,8 @@ def _prox_hs_vec(pen, g, lam):
     if k == "eig_box":
         return np.clip(lam / (g + 1.0), pen.alpha, pen.beta)
     if k == "schatten":
-        return _hs_schatten_vec(pen.mu, pen.p, g, lam)
-    if k == "inv_schatten":
-        return _hs_inv_schatten_vec(pen.mu, pen.p, g, lam)
-    raise ConfigurationError(f"penalty '{k}' has no separable half_square prox")
+        return _hs_schatten_vec(div, pen, g, lam)
+    return _kernel_root_vec(div, pen, g, lam)
 
 
 # ---------------------------------------------------------------------------
@@ -508,47 +513,19 @@ def _burg_none_vec(g, lam):
     return 0.5 * (lam + np.sqrt(lam * lam + 4.0 * g))
 
 
-def _prox_burg_vec(pen, g, lam):
+def _prox_burg_vec(div, pen, g, lam):
     k = pen.kind
     if k == "none":
         return _burg_none_vec(g, lam)
-    if k == "nuclear":
+    if k == "nuclear" or (k == "schatten" and pen.p == 1.0):
         shifted = lam - g * pen.mu
         return 0.5 * (shifted + np.sqrt(shifted * shifted + 4.0 * g))
-    if k == "fro_squared":
+    if k == "fro_squared" or (k == "schatten" and pen.p == 2.0):
         c = 2.0 * g * pen.mu + 1.0
         return (lam + np.sqrt(lam * lam + 4.0 * g * c)) / (2.0 * c)
     if k == "eig_box":
         return np.clip(_burg_none_vec(g, lam), pen.alpha, pen.beta)
-    mu, p = pen.mu, pen.p
-    lo = np.full_like(lam, _EPS_BRACKET)
-    if k == "schatten":
-        if p == 1.0:
-            return _prox_burg_vec(Penalty.nuclear(mu), g, lam)
-        if p == 2.0:
-            return _prox_burg_vec(Penalty.fro_squared(mu), g, lam)
-        hi = _burg_none_vec(g, lam)
-
-        def f(d):
-            return (d - lam) - g / d + g * mu * p * d ** (p - 1.0)
-
-        def dfdt(d):
-            return 1.0 + g / (d * d) + g * mu * p * (p - 1.0) * d ** (p - 2.0)
-
-        return _newton_bisect_vec(f, dfdt, lo, hi)
-    if k == "inv_schatten":
-        hi = np.maximum(lam, 0.0) + 10.0 * max(
-            1.0, math.sqrt(g), (g * mu * p) ** (1.0 / p)
-        )
-
-        def f(d):
-            return (d - lam) - g / d - g * mu * p * d ** (-p - 1.0)
-
-        def dfdt(d):
-            return 1.0 + g / (d * d) + g * mu * p * (p + 1.0) * d ** (-p - 2.0)
-
-        return _newton_bisect_vec(f, dfdt, lo, hi)
-    raise ConfigurationError(f"penalty '{k}' has no separable burg prox")
+    return _kernel_root_vec(div, pen, g, lam)
 
 
 # ---------------------------------------------------------------------------
@@ -560,56 +537,20 @@ def _shannon_none_vec(g, lam):
     return g * np.array([_w_exp(x / g - 1.0 - logg) for x in np.atleast_1d(lam)])
 
 
-def _prox_shannon_vec(pen, g, lam):
+def _prox_shannon_vec(div, pen, g, lam):
     k = pen.kind
     logg = math.log(g)
     if k == "none":
         return _shannon_none_vec(g, lam)
-    if k == "nuclear":
+    if k == "nuclear" or (k == "schatten" and pen.p == 1.0):
         return g * np.array([_w_exp(x / g - pen.mu - 1.0 - logg) for x in lam])
-    if k == "fro_squared":
+    if k == "fro_squared" or (k == "schatten" and pen.p == 2.0):
         c = 2.0 * pen.mu * g + 1.0
         z0 = math.log(c) - logg - 1.0
         return (g / c) * np.array([_w_exp(x / g + z0) for x in lam])
     if k == "eig_box":
         return np.clip(_shannon_none_vec(g, lam), pen.alpha, pen.beta)
-    if k == "schatten":
-        mu, p = pen.mu, pen.p
-        if p == 1.0:
-            return _prox_shannon_vec(Penalty.nuclear(mu), g, lam)
-        if p == 2.0:
-            return _prox_shannon_vec(Penalty.fro_squared(mu), g, lam)
-        hi = _shannon_none_vec(g, lam)
-        lo = np.full_like(lam, 1e-300)
-
-        def f(d):
-            return (d - lam) + g * (np.log(d) + 1.0) + g * mu * p * d ** (p - 1.0)
-
-        def dfdt(d):
-            return 1.0 + g / d + g * mu * p * (p - 1.0) * np.maximum(d, 1e-300) ** (p - 2.0)
-
-        return _newton_bisect_vec(f, dfdt, lo, hi)
-    raise ConfigurationError(f"penalty '{k}' has no separable shannon prox")
-
-
-# ---------------------------------------------------------------------------
-# prox: noisy Burg divergence (quartic stationarity)
-
-
-def _noisy_root_vec(g, mu0, sigma2, lam):
-    if sigma2 == 0.0 and mu0 == 0.0:
-        return _burg_none_vec(g, lam)
-    lo = np.full_like(lam, _EPS_BRACKET)
-    hi = np.maximum(lam, 0.0) + 10.0 * max(1.0, math.sqrt(g), g * mu0)
-
-    def f(d):
-        return (d - lam) - g / (d * (1.0 + sigma2 * d)) - g * mu0 / (d * d)
-
-    def dfdt(d):
-        u = d * (1.0 + sigma2 * d)
-        return 1.0 + g * (1.0 + 2.0 * sigma2 * d) / (u * u) + 2.0 * g * mu0 / (d ** 3)
-
-    return _newton_bisect_vec(f, dfdt, lo, hi)
+    return _kernel_root_vec(div, pen, g, lam)
 
 
 def prox_noisy_burg_quartic(gamma, mu0, sigma2, lam):
@@ -624,7 +565,9 @@ def prox_noisy_burg_quartic(gamma, mu0, sigma2, lam):
         raise ConfigurationError("gamma must be positive")
     if mu0 < 0 or sigma2 < 0:
         raise ConfigurationError("mu0 and sigma2 must be nonnegative")
-    return float(_noisy_root_vec(gamma, mu0, sigma2, np.array([float(lam)]))[0])
+    pen = Penalty.inv_schatten(mu0, 1.0) if mu0 > 0 else Penalty.none()
+    lam = np.array([float(lam)])
+    return float(_prox_separable_vec(Divergence.noisy_burg(sigma2), pen, gamma, lam)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -650,27 +593,6 @@ def _rank_candidates(div, pen, g, lam):
     return (0.0,)
 
 
-def _real_cubic_roots(c2, c1, c0):
-    """Real roots of t^3 + c2 t^2 + c1 t + c0, by depressed-cubic closed form."""
-    shift = c2 / 3.0
-    p = c1 - c2 * c2 / 3.0
-    q = 2.0 * c2 ** 3 / 27.0 - c2 * c1 / 3.0 + c0
-    disc = 0.25 * q * q + p ** 3 / 27.0
-    if disc > 0.0:
-        s = math.sqrt(disc)
-        y = np.cbrt(-0.5 * q + s) + np.cbrt(-0.5 * q - s)
-        return [float(y) - shift]
-    if p == 0.0:
-        return [float(np.cbrt(-q)) - shift]
-    r = math.sqrt(-p / 3.0)
-    arg = max(-1.0, min(1.0, 3.0 * q / (2.0 * p * r)))
-    theta = math.acos(arg) / 3.0
-    return [
-        float(2.0 * r * math.cos(theta - 2.0 * math.pi * j / 3.0)) - shift
-        for j in range(3)
-    ]
-
-
 def _select_minimizers(k, gamma, lam, candidates):
     """Evaluate the prox objective at each candidate; keep the global set,
     ordered by (objective, |d|)."""
@@ -694,39 +616,22 @@ def _select_minimizers(k, gamma, lam, candidates):
 
 
 def _cauchy_candidates(k, g, lam):
-    pen = k.penalty
-    mu, eps = pen.mu, pen.eps
+    """Minimizers among the real roots of the stationarity condition,
+    multiplied out to a polynomial in d."""
+    mu, eps = k.penalty.mu, k.penalty.eps
     if k.divergence.kind == "half_square":
-        al = abs(lam)
-        c = g + 1.0
-        roots = _real_cubic_roots(-al / c, (2.0 * g * mu + eps * c) / c, -al * eps / c)
-        sgn = 1.0 if lam >= 0 else -1.0
+        # ((1+g)d - lam)(d^2 + eps) + 2 g mu d = 0
+        coefs = (1.0 + g, -lam, eps * (1.0 + g) + 2.0 * g * mu, -lam * eps)
         cands = {0.0}
-        for t in roots:
-            if t > -1e-12:
-                cands.add(sgn * max(t, 0.0))
-        return _select_minimizers(k, g, lam, sorted(cands, key=abs))
-    # burg: stationary points are sign changes of the increasing-at-both-ends
-    # derivative on (0, inf); scan a mixed log/linear grid for - -> + crossings
-    hi = max(lam, 0.0) + 10.0 * max(1.0, math.sqrt(g), g * mu, math.sqrt(eps))
-    grid = np.unique(
-        np.concatenate(
-            [np.geomspace(1e-12, hi, 4000), np.linspace(1e-12, hi, 4000)]
-        )
-    )
-
-    def qp(d):
-        return (d - lam) - g / d + 2.0 * g * mu * d / (d * d + eps)
-
-    vals = qp(grid)
-    cands = []
-    for i in np.nonzero((vals[:-1] < 0.0) & (vals[1:] >= 0.0))[0]:
-        cands.append(
-            solve_increasing_root(qp, float(grid[i]), float(grid[i + 1]))
-        )
-    if not cands:
-        cands = [float(grid[np.argmin(np.abs(vals))])]
-    return _select_minimizers(k, g, lam, cands)
+    else:
+        # burg: ((d - lam)d - g)(d^2 + eps) + 2 g mu d^2 = 0, on d > 0
+        coefs = (1.0, -lam, eps - g + 2.0 * g * mu, -lam * eps, -g * eps)
+        cands = set()
+    roots = np.roots(coefs)
+    # near-double real roots can come back as a pair with a tiny imaginary part
+    real = np.abs(roots.imag) <= 1e-6 * np.maximum(1.0, np.abs(roots.real))
+    cands.update(float(r) for r in roots.real[real])
+    return _select_minimizers(k, g, lam, sorted(cands, key=abs))
 
 
 # ---------------------------------------------------------------------------
@@ -735,13 +640,13 @@ def _cauchy_candidates(k, g, lam):
 
 def _prox_separable_vec(div, pen, g, lam):
     if div.kind == "half_square":
-        return _prox_hs_vec(pen, g, lam)
-    if div.kind == "burg":
-        return _prox_burg_vec(pen, g, lam)
+        return _prox_hs_vec(div, pen, g, lam)
     if div.kind == "shannon":
-        return _prox_shannon_vec(pen, g, lam)
-    mu0 = pen.mu if pen.kind == "inv_schatten" else 0.0
-    return _noisy_root_vec(g, mu0, div.sigma2, lam)
+        return _prox_shannon_vec(div, pen, g, lam)
+    if div.kind == "burg" or div.sigma2 == 0.0:
+        # noisy_burg with sigma2 = 0 is Burg, so the Burg closed forms apply
+        return _prox_burg_vec(div, pen, g, lam)
+    return _kernel_root_vec(div, pen, g, lam)
 
 
 def kernel_prox(k, gamma, lam):

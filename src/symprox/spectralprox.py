@@ -17,8 +17,10 @@ from .scalarprox import (
     Penalty,
     ScalarKernel,
     VECTOR_PENALTIES,
+    _DPHI,
     _newton_bisect_vec,
     _phi_sum,
+    _stationarity,
     _w_exp,
     kernel_prox_vec,
 )
@@ -52,18 +54,6 @@ def prox_spectral(req):
     return SymMatrix(_recompose_raw(u, d), strict=False)
 
 
-def _grad_phi(div, y):
-    """Derivative of phi at admissible eigenvalues y."""
-    k = div.kind
-    if k == "half_square":
-        return y
-    if k == "burg":
-        return -1.0 / y
-    if k == "shannon":
-        return np.log(y) + 1.0
-    return -1.0 / (y * (1.0 + div.sigma2 * y))
-
-
 def _check_interior(div, y):
     if div.kind != "half_square" and np.any(y <= 0):
         raise DomainError(
@@ -82,7 +72,7 @@ def bregman_div(div, c, y):
     if math.isinf(fc):
         return math.inf
     fy = _phi_sum(div, yl)
-    grad = SymMatrix(_recompose_raw(uy, _grad_phi(div, yl)), strict=False)
+    grad = SymMatrix(_recompose_raw(uy, _DPHI[div.kind](div.sigma2, yl)[0]), strict=False)
     return fc - fy - inner(grad, SymMatrix(c.mat - y.mat, strict=False))
 
 
@@ -107,41 +97,13 @@ def _bregman_scalar_vec(div, pen, y):
     if pk == "eig_box":
         lo = max(pen.alpha, 0.0)
         return np.clip(y, lo, pen.beta)
-    mu, p = pen.mu, pen.p
+    mu = pen.mu
     if k == "burg":
         if pk == "nuclear":
             return y / (1.0 + mu * y)
         if pk == "fro_squared":
             iy = 1.0 / y
             return (-iy + np.sqrt(iy * iy + 8.0 * mu)) / (4.0 * mu)
-        if pk == "schatten":
-            # stationarity mu*p*d^(p-1) - 1/d + 1/y = 0, increasing in d
-            def f(d):
-                return mu * p * d ** (p - 1.0) - 1.0 / d + 1.0 / y
-
-            def dfdt(d):
-                return (
-                    mu * p * (p - 1.0) * np.maximum(d, 1e-300) ** (p - 2.0)
-                    + 1.0 / (d * d)
-                )
-
-            return _newton_bisect_vec(f, dfdt, np.full_like(y, 1e-300), y)
-        if pk == "inv_schatten":
-            def f(d):
-                return 1.0 / y - 1.0 / d - mu * p * d ** (-p - 1.0)
-
-            def dfdt(d):
-                return 1.0 / (d * d) + mu * p * (p + 1.0) * d ** (-p - 2.0)
-
-            hi = y.copy()
-            fv = f(hi)
-            for _ in range(200):
-                todo = fv <= 0
-                if not np.any(todo):
-                    break
-                hi = np.where(todo, 2.0 * hi, hi)
-                fv = f(hi)
-            return _newton_bisect_vec(f, dfdt, y, hi)
     if k == "shannon":
         if pk == "nuclear":
             return y * math.exp(-mu)
@@ -150,19 +112,9 @@ def _bregman_scalar_vec(div, pen, y):
             return np.array([_w_exp(math.log(2.0 * mu) + math.log(v)) for v in y]) / (
                 2.0 * mu
             )
-        if pk == "schatten":
-            def f(d):
-                return mu * p * d ** (p - 1.0) + np.log(d) - np.log(y)
-
-            def dfdt(d):
-                return (
-                    mu * p * (p - 1.0) * np.maximum(d, 1e-300) ** (p - 2.0) + 1.0 / d
-                )
-
-            return _newton_bisect_vec(f, dfdt, np.full_like(y, 1e-300), y)
-    raise ConfigurationError(
-        f"bregman prox is not available for divergence '{k}' with penalty '{pk}'"
-    )
+    # phi'(d) + psi'(d) = phi'(y), increasing in d
+    hdh = _stationarity(div, pen, 0.0, _DPHI[k](div.sigma2, y)[0])
+    return _newton_bisect_vec(hdh, y)
 
 
 def bregman_prox(div, psi_kernel, y):

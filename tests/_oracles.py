@@ -135,22 +135,22 @@ def eig2(x, y, z):
 
 class BruteForce(NamedTuple):
     """Result of brute_force_2x2: the best value found, and whether the
-    constrained SLSQP refine converged (None when no refine was asked for)."""
+    eigenvalue-box refine converged (None when no refine was asked for)."""
 
     value: float
     refine_converged: bool | None
 
 
-def brute_force_2x2(obj3, span, npts=61, rounds=60, smooth_obj=None, constraints=None):
+def brute_force_2x2(obj3, span, npts=61, rounds=60, smooth_obj=None, box=None):
     """Minimize obj3(x, y, z) (vectorized over flat arrays) by a dense grid
     for globality plus Nelder-Mead and zoom-grid local refinement.
 
-    For indicator-constrained objectives, pass smooth_obj (the finite part)
-    and constraints (scalar functions >= 0 when feasible): an SLSQP solve
-    then refines along the constraint boundary, where grid methods stall.
-    A refine that ends at an infeasible point is discarded. The refine counts
-    as converged only when SLSQP reports success at a feasible point.
-    Returns a BruteForce (best value, refine convergence)."""
+    For an eigenvalue-box indicator, pass box=(alpha, beta) and smooth_obj,
+    the finite part of obj3 (same signature): an L-BFGS-B solve then refines
+    over C = R(theta) diag(x1, x2) R(theta)^T with x1, x2 bounded to
+    [alpha, beta], which is feasible by construction, where grid methods
+    stall at the boundary.  The refine counts as converged when L-BFGS-B
+    reports success.  Returns a BruteForce (best value, refine convergence)."""
     from scipy.optimize import minimize
 
     g = np.linspace(-span, span, npts)
@@ -185,19 +185,32 @@ def brute_force_2x2(obj3, span, npts=61, rounds=60, smooth_obj=None, constraints
             pt = cand[j]
         width *= 0.5
     converged = None
-    if smooth_obj is not None and constraints is not None:
-        cons = [{"type": "ineq", "fun": c} for c in constraints]
+    if box is not None:
+
+        def rotated(v):
+            c, s = math.cos(v[0]), math.sin(v[0])
+            x1, x2 = v[1], v[2]
+            return (
+                np.array([x1 * c * c + x2 * s * s]),
+                np.array([x1 * s * s + x2 * c * c]),
+                np.array([(x1 - x2) * c * s]),
+            )
+
+        x, y, z = pt
+        l1, l2 = eig2(x, y, z)
+        start = [0.5 * math.atan2(2.0 * z, x - y), *np.clip([l1, l2], *box)]
         res = minimize(
-            smooth_obj,
-            pt,
-            method="SLSQP",
-            constraints=cons,
-            options={"ftol": 1e-14, "maxiter": 500},
+            lambda v: float(smooth_obj(*rotated(v))[0]),
+            start,
+            method="L-BFGS-B",
+            bounds=[(None, None), box, box],
+            # finite-difference gradients are good to about 1e-8, so a smaller
+            # gtol ends in a failed line search at an already optimal point
+            options={"ftol": 1e-15, "gtol": 1e-6, "maxiter": 1000},
         )
-        feas = all(c(res.x) >= -1e-9 for c in constraints)
-        if res.fun is not None and np.isfinite(res.fun) and feas:
+        if np.isfinite(res.fun):
             best = min(best, float(res.fun))
-        converged = bool(res.success) and feas
+        converged = bool(res.success)
     return BruteForce(best, converged)
 
 

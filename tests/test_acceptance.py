@@ -298,43 +298,18 @@ def test_criterion_2_spectral_brute_force():
                 assert gap <= 1e-6, f"{name}: gap {gap:.3e}"
                 continue
 
-            smooth_obj = None
-            constraints = None
+            smooth_obj = box = None
             if k.penalty.kind == "eig_box":
-                # indicator rows: refine along the boundary with explicit
-                # smooth constraints (grid and simplex methods stall there)
-                def smooth_obj(v, k=k, cbar=cbar, tmat=tmat, gamma=gamma):
-                    x, y, z = (np.array([c]) for c in v)
-                    dk, s2v = k.divergence.kind, k.divergence.sigma2
-                    l1, l2 = eig2(x, y, z)
-                    val = float((phi_value(dk, s2v, l1) + phi_value(dk, s2v, l2))[0])
-                    if not np.isfinite(val):
-                        return 1e12
-                    tr = float(
-                        (tmat[0, 0] * x + tmat[1, 1] * y + 2.0 * tmat[0, 1] * z)[0]
-                    )
-                    quad = float(
-                        (
-                            (x - cbar[0, 0]) ** 2
-                            + (y - cbar[1, 1]) ** 2
-                            + 2.0 * (z - cbar[0, 1]) ** 2
-                        )[0]
-                    ) / (2.0 * gamma)
-                    return val - tr + quad
+                # indicator rows: refine inside the box over the eigenvalues and
+                # the rotation (grid and simplex methods stall at the boundary)
+                box = (k.penalty.alpha, k.penalty.beta)
+                unboxed = ScalarKernel(k.divergence, Penalty.none())
 
-                def _lams(v):
-                    l1, l2 = eig2(np.array([v[0]]), np.array([v[1]]), np.array([v[2]]))
-                    return float(l1[0]), float(l2[0])
-
-                constraints = []
-                if math.isfinite(k.penalty.alpha):
-                    constraints.append(lambda v, a=k.penalty.alpha: _lams(v)[1] - a)
-                if math.isfinite(k.penalty.beta):
-                    constraints.append(lambda v, b=k.penalty.beta: b - _lams(v)[0])
+                def smooth_obj(x, y, z, obj3=obj3, unboxed=unboxed):
+                    return obj3(x, y, z, k=unboxed)
 
             f_brute, converged = brute_force_2x2(
-                obj3, span=5.0, npts=41, rounds=80,
-                smooth_obj=smooth_obj, constraints=constraints,
+                obj3, span=5.0, npts=41, rounds=80, smooth_obj=smooth_obj, box=box,
             )
             if converged is not None:
                 refines += 1
@@ -359,7 +334,7 @@ def test_criterion_2_spectral_brute_force():
     print(
         f"ACCEPTANCE 2 PASS: 2x2 brute force over {len(_FAMILIES_2X2)} kernel families "
         f"(20 instances each), worst gap {worst:.2e} <= 1e-6; {refines_failed} of "
-        f"{refines} constrained SLSQP refines did not converge; "
+        f"{refines} eigenvalue-box L-BFGS-B refines did not converge; "
         f"n=3 random-search bound holds ({time.time()-t0:.1f}s)"
     )
 

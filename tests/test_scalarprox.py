@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
 import scipy.special
 
 from symprox import (
@@ -11,6 +12,8 @@ from symprox import (
     Penalty,
     ScalarKernel,
     BracketingError,
+    NumericError,
+    bregman_prox,
     hard,
     kernel_eval,
     kernel_prox,
@@ -20,8 +23,8 @@ from symprox import (
     project_l1_ball,
     prox_noisy_burg_quartic,
     soft,
-    solve_increasing_root,
 )
+from symprox.scalarprox import _newton_bisect_vec
 
 from _oracles import golden_min, l1_projection_kkt, phi_value, psi_value, scalar_prox_oracle
 
@@ -185,23 +188,44 @@ def test_prox_noisy_sigma_zero_matches_burg_inv_schatten():
 # --- root solver -----------------------------------------------------------
 
 
+def _cubic(d):
+    return d**3 - 2.0, 3 * d * d
+
+
 def test_root_linear():
-    assert solve_increasing_root(lambda d: d - 1.0, 0.0, 2.0) == pytest.approx(1.0, abs=1e-12)
+    x = _newton_bisect_vec(lambda d: (d - 1.0, np.ones_like(d)), np.array([2.0]))
+    assert x[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_root_cubic():
-    x = solve_increasing_root(lambda d: d**3 - 2.0, 0.0, 2.0)
-    assert x == pytest.approx(2.0 ** (1.0 / 3.0), rel=1e-12)
+    # an unusable derivative leaves bisection alone to find the root
+    x = _newton_bisect_vec(lambda d: (d**3 - 2.0, np.full_like(d, np.nan)), np.array([2.0]))
+    assert x[0] == pytest.approx(2.0 ** (1.0 / 3.0), rel=1e-12)
 
 
 def test_root_with_derivative():
-    x = solve_increasing_root(lambda d: d**3 - 2.0, 0.0, 2.0, df=lambda d: 3 * d * d)
-    assert x == pytest.approx(2.0 ** (1.0 / 3.0), rel=1e-12)
+    x = _newton_bisect_vec(_cubic, np.array([2.0, 0.5]))
+    assert np.allclose(x, 2.0 ** (1.0 / 3.0), rtol=1e-12, atol=0.0)
+
+
+def test_root_hi_doubles():
+    # roots at 10 and 1e5 lie above the starting upper end 1
+    roots = np.array([10.0, 1e5, 0.5])
+    x = _newton_bisect_vec(lambda d: (d - roots, np.ones_like(d)), np.ones(3))
+    assert np.allclose(x, roots, rtol=1e-12, atol=0.0)
 
 
 def test_root_bad_bracket():
     with pytest.raises(BracketingError):
-        solve_increasing_root(lambda d: d + 1.0, 0.0, 2.0)
+        _newton_bisect_vec(lambda d: (d + 1.0, np.ones_like(d)), np.array([2.0]))
+    # h < 0 on all of [0, inf): there is no upper end
+    with pytest.raises(BracketingError):
+        _newton_bisect_vec(lambda d: (-1.0 / (1.0 + d), (1.0 + d) ** -2), np.array([1.0]))
+
+
+def test_root_unconverged_raises():
+    with pytest.raises(NumericError, match="1 of 1 elements did not converge in 2 steps"):
+        _newton_bisect_vec(_cubic, np.array([2.0]), max_iter=2)
 
 
 def test_schatten3_implicit_matches_closed_form():
@@ -210,8 +234,9 @@ def test_schatten3_implicit_matches_closed_form():
     for lam in (-2.5, -0.3, 0.0, 0.7, 3.1):
         (closed,) = kernel_prox(k, g, lam)
         al = abs(lam)
-        t = solve_increasing_root(
-            lambda d: mu * g * 3 * d * d + (g + 1) * d - al, 0.0, al / (g + 1) + 1.0
+        t = scipy.optimize.brentq(
+            lambda d: mu * g * 3 * d * d + (g + 1) * d - al, 0.0, al / (g + 1) + 1.0,
+            xtol=1e-15, rtol=1e-15,
         )
         assert closed == pytest.approx(math.copysign(t, lam) if lam else 0.0, abs=1e-10)
 
@@ -378,6 +403,67 @@ def test_noisy_log_composition_midpoint_convexity():
         assert f(mid) <= t * f(a) + (1 - t) * f(b) + 1e-12
 
 
+# --- root-solved rows at extreme parameters ----------------------------------
+
+_EXTREME_LAMS = np.concatenate([-np.logspace(8, -8, 17), [0.0], np.logspace(-8, 8, 17)])
+_EXTREME_SCALES = (1e-4, 1e-2, 1.0, 1e2, 1e4)
+
+
+def _not_beaten_nearby(f, d):
+    """f(d) is not above f at d(1 +- 1e-6) or d +- 1e-9, up to 1e-9 relative."""
+    f0 = f(d)
+    for near in (d * (1.0 + 1e-6), d * (1.0 - 1e-6), d + 1e-9, d - 1e-9):
+        with np.errstate(all="ignore"):
+            assert np.all(f(near) >= f0 - 1e-9 * np.abs(f0))
+
+
+def test_root_solved_kernel_rows_extreme_grid():
+    lam = _EXTREME_LAMS
+    for g in _EXTREME_SCALES:
+        for mu in _EXTREME_SCALES:
+            rows = [ScalarKernel(div, Penalty.schatten(mu, p))
+                    for div in (HS, BURG, SHANNON) for p in (1.3, 2.7)]
+            rows += [ScalarKernel(div, Penalty.inv_schatten(mu, p))
+                     for div in (HS, BURG) for p in (0.7, 2.2)]
+            rows += [ScalarKernel(Divergence.noisy_burg(0.3), pen)
+                     for pen in (Penalty.none(), Penalty.inv_schatten(mu, 1.0))]
+            for k in rows:
+                d = kernel_prox_vec(k, g, lam)
+                assert np.all(np.isfinite(d)), (k, g)
+
+                def f(x, k=k, g=g):
+                    kind, s2 = k.divergence.kind, k.divergence.sigma2
+                    return 0.5 * (x - lam) ** 2 + g * (
+                        phi_value(kind, s2, x) + psi_value(k.penalty, x)
+                    )
+
+                _not_beaten_nearby(f, d)
+
+
+def _bregman_value(div_kind, pen, d, y):
+    """psi(d) + D_phi(d, y) for a scalar anchor y > 0; +inf for d <= 0."""
+    r = d / y
+    if div_kind == "burg":
+        # r - 1 - log r, without the cancellation of log1p near r = 0 or of log near r = 1
+        div = (r - 1.0) - np.where(np.abs(r - 1.0) < 0.5, np.log1p(r - 1.0), np.log(r))
+    else:
+        div = d * np.log(r) - d + y
+    return np.where(d > 0, psi_value(pen, d) + div, np.inf)
+
+
+def test_root_solved_bregman_rows_extreme_grid():
+    ys = np.logspace(-8, 8, 17)
+    for mu in _EXTREME_SCALES:
+        rows = [(BURG, Penalty.schatten(mu, p)) for p in (1.3, 2.7)]
+        rows += [(BURG, Penalty.inv_schatten(mu, p)) for p in (0.7, 2.2)]
+        rows += [(SHANNON, Penalty.schatten(mu, p)) for p in (1.3, 2.7)]
+        for div, pen in rows:
+            for y in ys:
+                d = np.array([bregman_prox(div, pen, np.array([[y]])).mat[0, 0]])
+                assert np.all(np.isfinite(d)), (div, pen, y)
+                _not_beaten_nearby(lambda x: _bregman_value(div.kind, pen, x, y), d)
+
+
 # --- set-valued rows ---------------------------------------------------------
 
 
@@ -399,6 +485,23 @@ def test_cauchy_prox_candidates_minimize():
         ref = scalar_prox_oracle("half_square", 0.0, k.penalty, 1.2, lam)
         for d in cands:
             assert _obj(k, 1.2, lam, d) <= ref + 1e-6
+
+
+def test_burg_cauchy_picks_the_global_of_two_local_minima():
+    k = ScalarKernel(BURG, Penalty.cauchy(3.0, 0.01))
+    g, lam = 0.1, 1.6
+
+    def obj(t):
+        return _obj(k, g, lam, t)
+
+    low = golden_min(obj, 0.01, 0.2)
+    high = golden_min(obj, 0.8, 1.5)
+    assert low == pytest.approx(0.074, abs=1e-3) and high == pytest.approx(1.18, abs=1e-2)
+    assert obj(low) - obj(high) == pytest.approx(1.1e-3, abs=1e-4)
+    (d,) = kernel_prox(k, g, lam)
+    assert d == pytest.approx(high, abs=1e-6)
+    ref = scalar_prox_oracle("burg", 0.0, k.penalty, g, lam)
+    assert abs(obj(d) - ref) <= 1e-9
 
 
 # --- configuration ------------------------------------------------------------
