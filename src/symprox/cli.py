@@ -11,6 +11,7 @@ import argparse
 import os
 import sys
 import time
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -46,6 +47,12 @@ from .symlin import (
     write_matrix_csv,
 )
 
+# The solver keys' reference defaults are the solvers' own: DRConfig's for
+# solve-cov, MMConfig's for the MM commands.
+_MM = MMConfig()
+_MM_SOLVER = {**asdict(_MM.inner), "outer_eps": _MM.outer_eps, "outer_max": _MM.outer_max}
+
+# Every key of a command is also its flag (max_iter <-> --max-iter).
 _DEFAULTS = {
     "prox": {
         "kernel": None, "matrix": None, "t": None, "gamma": 1.0, "psd": False,
@@ -57,31 +64,48 @@ _DEFAULTS = {
     },
     "solve-cov": {
         "data": None, "n": 100, "blocks": "14,36,18,10,22", "sigma": "0.1",
-        "nsamples": None, "mu0": 0.2, "mu1": 0.1, "gamma": 1.0, "alpha": 1.5,
-        "eps": 1e-10, "max_iter": 2000, "seed": 0, "support_tol": 1e-8,
-        "out": ".",
+        "nsamples": None, "mu0": 0.2, "mu1": 0.1, **asdict(DRConfig()), "seed": 0,
+        "support_tol": 1e-8, "out": ".",
     },
     "solve-glasso": {
         "data": None, "n": 100, "p": 1e-3, "sigma": "0.1", "nsamples": 1000,
-        "mu0": 0.005, "mu1": 0.05, "gamma": 1.0, "alpha": 1.0, "eps": 1e-10,
-        "max_iter": 2000, "outer_eps": 1e-8, "outer_max": 20, "seed": 0,
-        "support_tol": 1e-8, "out": ".",
+        "mu0": 0.005, "mu1": 0.05, **_MM_SOLVER, "seed": 0, "support_tol": 1e-8,
+        "out": ".",
     },
     "bench": {
         "n": 100, "p": 1e-3, "nsamples": 1000,
         "sigma": "0.05,0.1,0.15,0.2,0.25,0.3,0.35,0.4", "reps": 20,
-        "method": "mm,glasso,dr-noisy", "mu0": 0.005, "mu1": 0.05,
-        "gamma": 1.0, "alpha": 1.0, "eps": 1e-10, "max_iter": 2000,
-        "outer_eps": 1e-8, "outer_max": 20, "seed": 0, "support_tol": 1e-8,
-        "wall_times": False, "out": ".",
+        "method": "mm,glasso,dr-noisy", "mu0": 0.005, "mu1": 0.05, **_MM_SOLVER,
+        "seed": 0, "support_tol": 1e-8, "wall_times": False, "out": ".",
     },
 }
 
-_FLOAT_KEYS = {
-    "gamma", "alpha", "eps", "mu0", "mu1", "p", "outer_eps", "support_tol",
+# A key's kind is the type of its non-None defaults; keys without one are strings.
+_KIND = {k: type(v) for cmd in _DEFAULTS.values() for k, v in cmd.items() if v is not None}
+
+_HELP = {
+    "config": "key=value config file",
+    "out": "output directory",
+    "seed": "base RNG seed",
+    "matrix": "input matrix CSV",
+    "kernel": "kernel spec, e.g. 'divergence=burg penalty=nuclear mu=0.2'",
+    "t": "linear-term matrix CSV (default zero)",
+    "psd": "project eigenvalues onto [0, inf)",
+    "scenario": "cov or glasso",
+    "blocks": "comma-separated block sizes (cov scenario)",
+    "p": "precision density (glasso scenario)",
+    "sigma": "noise standard deviation (bench: comma-separated noise levels)",
+    "data": "dataset directory from 'gen'",
+    "mu0": "spectral penalty weight",
+    "mu1": "elementwise l1 weight",
+    "gamma": "prox scale gamma",
+    "alpha": "relaxation in (0, 2)",
+    "eps": "relative-objective tolerance",
+    "max_iter": "iteration cap",
+    "reps": "replications per sigma",
+    "method": "comma-separated subset of mm,glasso,dr-noisy",
+    "wall_times": "record wall-clock seconds (breaks byte-determinism of results.csv)",
 }
-_INT_KEYS = {"n", "nsamples", "seed", "max_iter", "outer_max", "reps"}
-_BOOL_KEYS = {"psd", "wall_times"}
 
 
 def _parse_config_file(path):
@@ -103,28 +127,20 @@ def _parse_config_file(path):
 
 
 def _coerce(key, value):
-    if value is None:
-        return None
-    if key in _FLOAT_KEYS:
-        try:
-            return float(value)
-        except (TypeError, ValueError):
-            raise ConfigurationError(f"key '{key}' expects a number, got '{value}'") from None
-    if key in _INT_KEYS:
-        try:
-            return int(value)
-        except (TypeError, ValueError):
-            raise ConfigurationError(f"key '{key}' expects an integer, got '{value}'") from None
-    if key in _BOOL_KEYS:
-        if isinstance(value, bool):
-            return value
+    """Parse a flag or config-file value as its key's kind."""
+    kind = _KIND.get(key, str)
+    if kind is bool:
         v = str(value).lower()
         if v in ("1", "true", "yes", "on"):
             return True
         if v in ("0", "false", "no", "off"):
             return False
         raise ConfigurationError(f"key '{key}' expects a boolean, got '{value}'")
-    return value
+    try:
+        return kind(value)
+    except ValueError:
+        noun = "a number" if kind is float else "an integer"
+        raise ConfigurationError(f"key '{key}' expects {noun}, got '{value}'") from None
 
 
 def _effective(cmd, args):
@@ -136,7 +152,7 @@ def _effective(cmd, args):
             raise ConfigurationError(f"unknown config key '{key}' for command '{cmd}'")
     eff = {}
     for key, dflt in defaults.items():
-        cli_val = getattr(args, key.replace("-", "_"), None)
+        cli_val = getattr(args, key)
         if cli_val is not None:
             eff[key] = _coerce(key, cli_val)
         elif key in cfgfile:
@@ -222,16 +238,28 @@ def _load_or_make(eff, maker):
         if os.path.exists(c_star_path):
             c_star = read_matrix_csv(c_star_path)
         return ds, c_star, meta
-    ds, c_star, extra = maker(eff)
-    return ds, c_star, extra
+    return maker(eff)
+
+
+def _dr_config(eff):
+    return DRConfig(**{f.name: eff[f.name] for f in fields(DRConfig)})
+
+
+def _mm_config(eff):
+    return MMConfig(inner=_dr_config(eff), outer_eps=eff["outer_eps"], outer_max=eff["outer_max"])
+
+
+def _precision_rmse(c_final, y_star):
+    """Relative squared error of the covariance implied by a precision estimate."""
+    cov_est = spd_inverse(c_final)
+    return fro_norm(SymMatrix(cov_est.mat - y_star.mat, strict=False)) ** 2 / fro_norm(y_star) ** 2
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def _cmd_prox(args):
-    eff = _effective("prox", args)
+def _cmd_prox(eff):
     if not eff["matrix"]:
         raise ConfigurationError("key 'matrix' is required (path to a matrix CSV)")
     if not eff["kernel"]:
@@ -261,8 +289,7 @@ def _cmd_prox(args):
     return 0
 
 
-def _cmd_gen(args):
-    eff = _effective("gen", args)
+def _cmd_gen(eff):
     if eff["scenario"] not in ("cov", "glasso"):
         raise ConfigurationError(f"key 'scenario' must be 'cov' or 'glasso', got '{eff['scenario']}'")
     maker = _make_cov_dataset if eff["scenario"] == "cov" else _make_glasso_dataset
@@ -276,8 +303,7 @@ def _cmd_gen(args):
     return 0
 
 
-def _cmd_solve_cov(args):
-    eff = _effective("solve-cov", args)
+def _cmd_solve_cov(eff):
     ds, _, _ = _load_or_make(eff, _make_cov_dataset)
     sigma = ds.sigma
     n = ds.y_star.n
@@ -290,9 +316,8 @@ def _cmd_solve_cov(args):
         mu1=eff["mu1"],
         psd=True,
     )
-    cfg = DRConfig(gamma=eff["gamma"], alpha=eff["alpha"], eps=eff["eps"], max_iter=eff["max_iter"])
     c0 = SymMatrix(s.mat + np.eye(n), strict=False)
-    rep = dr_solve(spec, cfg, c0)
+    rep = dr_solve(spec, _dr_config(eff), c0)
     outdir = eff["out"]
     _echo_config(eff, outdir)
     write_matrix_csv(rep.c_final, os.path.join(outdir, "estimate.csv"))
@@ -309,18 +334,12 @@ def _cmd_solve_cov(args):
     return 4 if rep.stop_reason == "max_iter" else 0
 
 
-def _cmd_solve_glasso(args):
-    eff = _effective("solve-glasso", args)
+def _cmd_solve_glasso(eff):
     ds, c_star, _ = _load_or_make(eff, _make_glasso_dataset)
     sigma = ds.sigma
     s = empirical_cov(ds)
     prob = NoisyGlassoProblem(s=s, sigma2=sigma * sigma, mu0=eff["mu0"], mu1=eff["mu1"])
-    cfg = MMConfig(
-        inner=DRConfig(gamma=eff["gamma"], alpha=eff["alpha"], eps=eff["eps"], max_iter=eff["max_iter"]),
-        outer_eps=eff["outer_eps"],
-        outer_max=eff["outer_max"],
-    )
-    rep = mm_solve(prob, cfg)
+    rep = mm_solve(prob, _mm_config(eff))
     outdir = eff["out"]
     _echo_config(eff, outdir)
     write_matrix_csv(rep.c_final, os.path.join(outdir, "estimate.csv"))
@@ -338,9 +357,7 @@ def _cmd_solve_glasso(args):
     ]
     if c_star is not None:
         m = metrics(rep.c_sparse, c_star, support_tol=eff["support_tol"])
-        y_star = spd_inverse(c_star)
-        cov_est = spd_inverse(rep.c_final)
-        rmse = fro_norm(SymMatrix(cov_est.mat - y_star.mat, strict=False)) ** 2 / fro_norm(y_star) ** 2
+        rmse = _precision_rmse(rep.c_final, spd_inverse(c_star))
         parts = [
             f"tpr={format_float(m.tpr)}",
             f"fpr={format_float(m.fpr)}",
@@ -355,30 +372,20 @@ def _cmd_solve_glasso(args):
 _METHODS = ("mm", "glasso", "dr-noisy")
 
 
-def _bench_one(method, s, c_star, y_star, eff):
-    sigma2 = eff["_sigma"] ** 2
-    inner = DRConfig(gamma=eff["gamma"], alpha=eff["alpha"], eps=eff["eps"], max_iter=eff["max_iter"])
+def _bench_one(method, s, sigma, c_star, y_star, eff):
     if method == "mm":
-        prob = NoisyGlassoProblem(s=s, sigma2=sigma2, mu0=eff["mu0"], mu1=eff["mu1"])
-        rep = mm_solve(prob, MMConfig(inner=inner, outer_eps=eff["outer_eps"], outer_max=eff["outer_max"]))
-        c_final, c_sparse = rep.c_final, rep.c_sparse
-        iters = sum(rep.inner_iterations)
+        prob = NoisyGlassoProblem(s=s, sigma2=sigma ** 2, mu0=eff["mu0"], mu1=eff["mu1"])
+        rep = mm_solve(prob, _mm_config(eff))
     elif method == "glasso":
-        rep = glasso_solve(s, eff["mu1"], cfg=inner)
-        c_final, c_sparse = rep.c_final, rep.c_sparse
-        iters = rep.iterations
+        rep = glasso_solve(s, eff["mu1"], cfg=_dr_config(eff))
     else:
-        rep = dr_noisy_baseline(s, eff["mu0"], eff["mu1"], cfg=inner)
-        c_final, c_sparse = rep.c_final, rep.c_sparse
-        iters = rep.iterations
-    m = metrics(c_sparse, c_star, support_tol=eff["support_tol"])
-    cov_est = spd_inverse(c_final)
-    rmse = fro_norm(SymMatrix(cov_est.mat - y_star.mat, strict=False)) ** 2 / fro_norm(y_star) ** 2
-    return rmse, m.tpr, m.fpr, iters
+        rep = dr_noisy_baseline(s, eff["mu0"], eff["mu1"], cfg=_dr_config(eff))
+    iters = sum(rep.inner_iterations) if method == "mm" else rep.iterations
+    m = metrics(rep.c_sparse, c_star, support_tol=eff["support_tol"])
+    return _precision_rmse(rep.c_final, y_star), m.tpr, m.fpr, iters
 
 
-def _cmd_bench(args):
-    eff = _effective("bench", args)
+def _cmd_bench(eff):
     sigmas = _sigma_list(eff["sigma"])
     methods = []
     for tok in str(eff["method"]).split(","):
@@ -406,10 +413,8 @@ def _cmd_bench(args):
                 sample_seed = eff["seed"] + 7919 * (rep_i + 1)
                 ds = sample_gaussian(y_star, sigma, n_samples, sample_seed)
                 s = empirical_cov(ds)
-                cell = dict(eff)
-                cell["_sigma"] = sigma
                 t0 = time.perf_counter()
-                rmse, tpr, fpr, iters = _bench_one(method, s, c_star, y_star, cell)
+                rmse, tpr, fpr, iters = _bench_one(method, s, sigma, c_star, y_star, eff)
                 elapsed = time.perf_counter() - t0 if eff["wall_times"] else 0.0
                 rows.append((method, sigma, sample_seed, rmse, tpr, fpr, iters, elapsed))
 
@@ -442,88 +447,26 @@ def _cmd_bench(args):
 # argument parsing
 
 
-def _add_common(sp):
-    sp.add_argument("--config", help="key=value config file")
-    sp.add_argument("--out", help="output directory")
-    sp.add_argument("--seed", type=int, help="base RNG seed")
-
-
-def _add_solver_opts(sp):
-    sp.add_argument("--mu0", type=float, help="spectral penalty weight")
-    sp.add_argument("--mu1", type=float, help="elementwise l1 weight")
-    sp.add_argument("--gamma", type=float, help="prox scale gamma")
-    sp.add_argument("--alpha", type=float, help="relaxation in (0, 2)")
-    sp.add_argument("--eps", type=float, help="relative-objective tolerance")
-    sp.add_argument("--max-iter", dest="max_iter", type=int, help="iteration cap")
+_COMMANDS = {
+    "prox": (_cmd_prox, "evaluate a spectral proximity operator"),
+    "gen": (_cmd_gen, "generate a synthetic dataset"),
+    "solve-cov": (_cmd_solve_cov, "sparse covariance estimation (quadratic model)"),
+    "solve-glasso": (_cmd_solve_glasso, "noisy graphical lasso (MM solver)"),
+    "bench": (_cmd_bench, "sigma sweep over methods, CSV reports"),
+}
 
 
 def _build_parser():
     ap = argparse.ArgumentParser(prog="symprox", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("prox", help="evaluate a spectral proximity operator")
-    _add_common(p)
-    p.add_argument("--matrix", help="input matrix CSV")
-    p.add_argument("--kernel", help="kernel spec, e.g. 'divergence=burg penalty=nuclear mu=0.2'")
-    p.add_argument("--t", help="linear-term matrix CSV (default zero)")
-    p.add_argument("--gamma", type=float, help="prox scale gamma")
-    p.add_argument("--psd", action="store_const", const=True, help="project eigenvalues onto [0, inf)")
-
-    g = sub.add_parser("gen", help="generate a synthetic dataset")
-    _add_common(g)
-    g.add_argument("--scenario", choices=("cov", "glasso"))
-    g.add_argument("--n", type=int)
-    g.add_argument("--blocks", help="comma-separated block sizes (cov scenario)")
-    g.add_argument("--p", type=float, help="precision density (glasso scenario)")
-    g.add_argument("--sigma", help="noise standard deviation")
-    g.add_argument("--nsamples", type=int)
-
-    sc = sub.add_parser("solve-cov", help="sparse covariance estimation (quadratic model)")
-    _add_common(sc)
-    _add_solver_opts(sc)
-    sc.add_argument("--data", help="dataset directory from 'gen'")
-    sc.add_argument("--n", type=int)
-    sc.add_argument("--blocks")
-    sc.add_argument("--sigma")
-    sc.add_argument("--nsamples", type=int)
-    sc.add_argument("--support-tol", dest="support_tol", type=float)
-
-    sg = sub.add_parser("solve-glasso", help="noisy graphical lasso (MM solver)")
-    _add_common(sg)
-    _add_solver_opts(sg)
-    sg.add_argument("--data", help="dataset directory from 'gen'")
-    sg.add_argument("--n", type=int)
-    sg.add_argument("--p", type=float)
-    sg.add_argument("--sigma")
-    sg.add_argument("--nsamples", type=int)
-    sg.add_argument("--outer-eps", dest="outer_eps", type=float)
-    sg.add_argument("--outer-max", dest="outer_max", type=int)
-    sg.add_argument("--support-tol", dest="support_tol", type=float)
-
-    b = sub.add_parser("bench", help="sigma sweep over methods, CSV reports")
-    _add_common(b)
-    _add_solver_opts(b)
-    b.add_argument("--sigma", help="comma-separated noise levels")
-    b.add_argument("--reps", type=int, help="replications per sigma")
-    b.add_argument("--method", help="comma-separated subset of mm,glasso,dr-noisy")
-    b.add_argument("--n", type=int)
-    b.add_argument("--p", type=float)
-    b.add_argument("--nsamples", type=int)
-    b.add_argument("--outer-eps", dest="outer_eps", type=float)
-    b.add_argument("--outer-max", dest="outer_max", type=int)
-    b.add_argument("--support-tol", dest="support_tol", type=float)
-    b.add_argument("--wall-times", dest="wall_times", action="store_const", const=True,
-                   help="record wall-clock seconds (breaks byte-determinism of results.csv)")
+    for cmd, (_, text) in _COMMANDS.items():
+        sp = sub.add_parser(cmd, help=text)
+        sp.add_argument("--config", help=_HELP["config"])
+        for key in _DEFAULTS[cmd]:
+            # no type=: flag values go through _coerce, as config-file values do
+            kw = {"action": "store_const", "const": True} if _KIND.get(key) is bool else {}
+            sp.add_argument("--" + key.replace("_", "-"), dest=key, help=_HELP.get(key), **kw)
     return ap
-
-
-_HANDLERS = {
-    "prox": _cmd_prox,
-    "gen": _cmd_gen,
-    "solve-cov": _cmd_solve_cov,
-    "solve-glasso": _cmd_solve_glasso,
-    "bench": _cmd_bench,
-}
 
 
 def main(argv=None):
@@ -533,7 +476,7 @@ def main(argv=None):
     except SystemExit as exc:
         return exc.code if exc.code else 0
     try:
-        return _HANDLERS[args.command](args)
+        return _COMMANDS[args.command][0](_effective(args.command, args))
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -232,17 +232,7 @@ def glasso_solve(s, mu1, cfg=None, c0=None):
     """Classical graphical lasso baseline: a single Douglas-Rachford solve
     of -log det(C) + trace(CS) + mu1*||C||_1 (the sigma2 = 0, mu0 = 0
     collapse of the noisy model)."""
-    s = as_sym(s)
-    prob = NoisyGlassoProblem(s=s, sigma2=0.0, mu0=0.0, mu1=mu1)
-    cfg = cfg or MMConfig().inner
-    spec = ObjectiveSpec(
-        divergence=Divergence.burg(),
-        t=SymMatrix(-prob.s.mat, strict=False),
-        g0=Penalty.none(),
-        mu1=mu1,
-    )
-    c0 = as_sym(c0) if c0 is not None else default_init(prob)
-    return dr_solve(spec, cfg, c0)
+    return dr_noisy_baseline(s, 0.0, mu1, cfg, c0)
 
 
 def dr_noisy_baseline(s, mu0, mu1, cfg=None, c0=None):

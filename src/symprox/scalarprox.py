@@ -448,14 +448,10 @@ def kernel_eval_vec(k, lam):
 
 
 def _prox_obj(k, gamma, lam, d):
-    arr = np.array([float(d)])
-    val = _phi_sum(k.divergence, arr)
+    val = kernel_eval_vec(k, np.array([float(d)]))
     if math.isinf(val):
         return math.inf
-    pv = _psi_sum(k.penalty, arr)
-    if math.isinf(pv):
-        return math.inf
-    return 0.5 * (d - lam) ** 2 + gamma * (val + pv)
+    return 0.5 * (d - lam) ** 2 + gamma * val
 
 
 # ---------------------------------------------------------------------------
@@ -616,22 +612,30 @@ def _select_minimizers(k, gamma, lam, candidates):
 
 
 def _cauchy_candidates(k, g, lam):
-    """Minimizers among the real roots of the stationarity condition,
-    multiplied out to a polynomial in d."""
+    """Per element of lam, the minimizers among the real roots of the
+    stationarity condition multiplied out to a polynomial in d.  The roots
+    of all elements come from one batched eigenvalue solve of their
+    companion matrices (the matrices np.roots would build one at a time)."""
     mu, eps = k.penalty.mu, k.penalty.eps
     if k.divergence.kind == "half_square":
         # ((1+g)d - lam)(d^2 + eps) + 2 g mu d = 0
         coefs = (1.0 + g, -lam, eps * (1.0 + g) + 2.0 * g * mu, -lam * eps)
-        cands = {0.0}
+        extra = (0.0,)
     else:
         # burg: ((d - lam)d - g)(d^2 + eps) + 2 g mu d^2 = 0, on d > 0
         coefs = (1.0, -lam, eps - g + 2.0 * g * mu, -lam * eps, -g * eps)
-        cands = set()
-    roots = np.roots(coefs)
+        extra = ()
+    deg = len(coefs) - 1
+    comp = np.zeros((lam.size, deg, deg))
+    comp[:, 0, :] = -np.stack(np.broadcast_arrays(*coefs[1:]), axis=1) / coefs[0]
+    comp[:, np.arange(1, deg), np.arange(deg - 1)] = 1.0
+    roots = np.linalg.eigvals(comp)
     # near-double real roots can come back as a pair with a tiny imaginary part
     real = np.abs(roots.imag) <= 1e-6 * np.maximum(1.0, np.abs(roots.real))
-    cands.update(float(r) for r in roots.real[real])
-    return _select_minimizers(k, g, lam, sorted(cands, key=abs))
+    return [
+        _select_minimizers(k, g, x, sorted({*extra, *r.real[ok].tolist()}, key=abs))
+        for x, r, ok in zip(lam.tolist(), roots, real)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -662,7 +666,7 @@ def kernel_prox(k, gamma, lam):
     if pen.kind == "rank":
         return _rank_candidates(k.divergence, pen, gamma, lam)
     if pen.kind == "cauchy":
-        return _cauchy_candidates(k, gamma, lam)
+        return _cauchy_candidates(k, gamma, np.array([lam]))[0]
     if pen.kind in VECTOR_PENALTIES:
         return (float(kernel_prox_vec(k, gamma, np.array([lam]))[0]),)
     return (float(_prox_separable_vec(k.divergence, pen, gamma, np.array([lam]))[0]),)
@@ -689,8 +693,10 @@ def kernel_prox_vec(k, gamma, lam):
     if pen.kind == "spectral_norm":
         mg = pen.mu * gamma
         return (lam - mg * project_l1_ball(lam / mg, 1.0)) / (1.0 + gamma)
-    if pen.kind in ("rank", "cauchy"):
+    if pen.kind == "rank":
         return np.array([kernel_prox(k, gamma, x)[0] for x in lam])
+    if pen.kind == "cauchy":
+        return np.array([c[0] for c in _cauchy_candidates(k, gamma, lam)])
     return _prox_separable_vec(k.divergence, pen, gamma, lam)
 
 

@@ -102,18 +102,11 @@ def objective_eval(spec, c):
     lam = np.linalg.eigvalsh(c.mat)
     if spec.psd and lam[0] < -_PSD_EVAL_SLACK * max(1.0, abs(lam[-1])):
         return math.inf
-    v = _phi_sum(spec.divergence, lam)
-    if math.isinf(v):
-        return math.inf
-    w = _psi_sum(spec.g0, lam)
-    if math.isinf(w):
-        return math.inf
-    tterm = float(np.sum(spec.t.mat * c.mat))
-    return v - tterm + w + spec.mu1 * float(np.abs(c.mat).sum())
+    return _objective_from_d(spec, lam, c.mat)
 
 
 def _objective_from_d(spec, d, chalf):
-    # objective at the shadow iterate, reusing its eigenvalues d directly
+    # objective at the matrix chalf, given its eigenvalues d
     v = _phi_sum(spec.divergence, d)
     if math.isinf(v):
         return math.inf

@@ -1,7 +1,8 @@
 import numpy as np
+import pytest
 
 from symprox import read_matrix_csv, write_matrix_csv
-from symprox.cli import main
+from symprox.cli import _DEFAULTS, _build_parser, _effective, main
 
 
 def run(argv):
@@ -256,3 +257,47 @@ def test_solve_cov_reference_scale(tmp_path):
     assert "n=100" in eff and "blocks=14,36,18,10,22" in eff
     assert "mu0=0.2" in eff
     assert (out / "estimate.csv").exists()
+
+
+# Reference kinds of the typed keys, written out apart from cli._KIND;
+# every other key is a string.
+_KINDS = {
+    **dict.fromkeys(("gamma", "alpha", "eps", "mu0", "mu1", "p", "outer_eps", "support_tol"), float),
+    **dict.fromkeys(("n", "nsamples", "seed", "max_iter", "outer_max", "reps"), int),
+    **dict.fromkeys(("psd", "wall_times"), bool),
+}
+_SAMPLES = {float: ("0.25", 0.25), int: ("7", 7), bool: ("yes", True), str: ("x,y", "x,y")}
+
+
+@pytest.mark.parametrize("cmd,key", [(c, k) for c, keys in _DEFAULTS.items() for k in keys])
+def test_every_key_is_a_flag_and_a_config_line_of_its_kind(tmp_path, cmd, key):
+    kind = _KINDS.get(key, str)
+    default = _DEFAULTS[cmd][key]
+    assert default is None or type(default) is kind
+    text, value = _SAMPLES[kind]
+    flag = ["--" + key.replace("_", "-")] + ([] if kind is bool else [text])
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key}={text}\n")
+    for argv in ([cmd] + flag, [cmd, "--config", str(cfg)]):
+        eff = _effective(cmd, _build_parser().parse_args(argv))
+        assert type(eff[key]) is kind and eff[key] == value, argv
+
+
+def test_malformed_flag_value_is_a_configuration_error(tmp_path, capsys):
+    rc = run(["solve-cov", "--gamma", "abc", "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "configuration error: key 'gamma' expects a number, got 'abc'" in capsys.readouterr().err
+
+
+def test_gen_unknown_scenario_exit2(tmp_path, capsys):
+    rc = run(["gen", "--scenario", "bogus", "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "scenario" in capsys.readouterr().err
+
+
+def test_prox_has_no_seed_flag(tmp_path):
+    m = tmp_path / "m.csv"
+    write_matrix_csv(np.eye(2), m)
+    rc = run(["prox", "--seed", "1", "--matrix", str(m), "--kernel", "penalty=none",
+              "--out", str(tmp_path / "o")])
+    assert rc == 2

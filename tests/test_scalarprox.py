@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 import scipy.optimize
 import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symprox import (
     ConfigurationError,
@@ -24,7 +26,7 @@ from symprox import (
     prox_noisy_burg_quartic,
     soft,
 )
-from symprox.scalarprox import _newton_bisect_vec
+from symprox.scalarprox import _newton_bisect_vec, _select_minimizers
 
 from _oracles import golden_min, l1_projection_kkt, phi_value, psi_value, scalar_prox_oracle
 
@@ -373,6 +375,68 @@ def test_firm_nonexpansive_and_monotone_convex_kernels():
             assert abs(pa - pb) <= abs(a - b) + 1e-10
 
 
+def _no_penalty(mu):
+    return Penalty.none()
+
+
+def _schatten(p):
+    return lambda mu: Penalty.schatten(mu, p)
+
+
+def _inv_schatten(p):
+    return lambda mu: Penalty.inv_schatten(mu, p)
+
+
+def _box(lo, hi):
+    return lambda mu: Penalty.eig_box(lo * mu, hi * mu)
+
+
+# every convex kernel row (all but rank and Cauchy), as a penalty of the weight mu
+_CONVEX_ROWS = {
+    f"{div.kind}-{name}": (div, pen)
+    for div, rows in (
+        (HS, {"none": _no_penalty, "nuclear": Penalty.nuclear, "fro_norm": Penalty.fro_norm,
+              "fro_squared": Penalty.fro_squared, "fro_ball": Penalty.fro_ball,
+              "eig_box": _box(-1.0, 2.0), "spectral_norm": Penalty.spectral_norm,
+              **{f"schatten{p:.3g}": _schatten(p) for p in (1.0, 4.0 / 3.0, 1.5, 2.0, 2.7, 3.0, 4.0)},
+              **{f"inv_schatten{p:.3g}": _inv_schatten(p) for p in (1.0, 2.2)}}),
+        (BURG, {"none": _no_penalty, "nuclear": Penalty.nuclear,
+                "fro_squared": Penalty.fro_squared, "eig_box": _box(0.5, 2.0),
+                **{f"schatten{p:.3g}": _schatten(p) for p in (1.0, 1.8, 2.0, 3.0)},
+                **{f"inv_schatten{p:.3g}": _inv_schatten(p) for p in (0.7, 1.0)}}),
+        (SHANNON, {"none": _no_penalty, "nuclear": Penalty.nuclear,
+                   "fro_squared": Penalty.fro_squared, "eig_box": _box(0.5, 2.0),
+                   **{f"schatten{p:.3g}": _schatten(p) for p in (1.0, 1.3, 2.0, 3.0)}}),
+        (Divergence.noisy_burg(0.3), {"none": _no_penalty, "inv_schatten1": _inv_schatten(1.0)}),
+    )
+    for name, pen in rows.items()
+}
+# pairs (l, l + h) with a step h of at most 1 per entry, so that a local
+# slope above 1 (a prox that is not firmly nonexpansive) shows
+_LAM_PAIRS = st.integers(1, 4).flatmap(
+    lambda n: st.tuples(
+        st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n),
+        st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n),
+    )
+)
+
+
+@pytest.mark.parametrize("row", sorted(_CONVEX_ROWS))
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(lams=_LAM_PAIRS, log_g=st.floats(-1.3, 1.3), mu=st.floats(0.05, 5.0))
+def test_convex_rows_are_monotone_and_firmly_nonexpansive(row, lams, log_g, mu):
+    # the prox of a convex function is firmly nonexpansive:
+    # (d1 - d2).(l1 - l2) >= |d1 - d2|^2, which also makes it monotone
+    div, pen = _CONVEX_ROWS[row]
+    k = ScalarKernel(div, pen(mu))
+    g = 10.0 ** log_g
+    l1 = np.array(lams[0])
+    l2 = l1 + np.array(lams[1])
+    dd = kernel_prox_vec(k, g, l1) - kernel_prox_vec(k, g, l2)
+    scale = 1.0 + l1 @ l1 + l2 @ l2
+    assert dd @ (l1 - l2) >= dd @ dd - 1e-10 * scale
+
+
 def test_domain_respect():
     rng = np.random.default_rng(29)
     for _ in range(50):
@@ -502,6 +566,33 @@ def test_burg_cauchy_picks_the_global_of_two_local_minima():
     assert d == pytest.approx(high, abs=1e-6)
     ref = scalar_prox_oracle("burg", 0.0, k.penalty, g, lam)
     assert abs(obj(d) - ref) <= 1e-9
+
+
+def _cauchy_by_np_roots(k, g, lam):
+    """The per-element algorithm: real roots of the stationarity polynomial
+    from np.roots, then the global set among them."""
+    mu, eps = k.penalty.mu, k.penalty.eps
+    if k.divergence.kind == "half_square":
+        coefs = (1.0 + g, -lam, eps * (1.0 + g) + 2.0 * g * mu, -lam * eps)
+        cands = {0.0}
+    else:
+        coefs = (1.0, -lam, eps - g + 2.0 * g * mu, -lam * eps, -g * eps)
+        cands = set()
+    roots = np.roots(coefs)
+    real = np.abs(roots.imag) <= 1e-6 * np.maximum(1.0, np.abs(roots.real))
+    cands.update(float(r) for r in roots.real[real])
+    return _select_minimizers(k, g, lam, sorted(cands, key=abs))[0]
+
+
+@pytest.mark.parametrize("div", [HS, BURG], ids=["half_square", "burg"])
+def test_cauchy_rows_match_per_element_np_roots(div):
+    rng = np.random.default_rng(43)
+    lam = np.concatenate([rng.uniform(-2.5, 2.5, 60), [0.0, 1.6, 1e4, -1e4]])
+    for mu, eps, g in ((0.3, 0.5, 1.0), (3.0, 0.01, 0.1), (0.8, 0.05, 1.2)):
+        k = ScalarKernel(div, Penalty.cauchy(mu, eps))
+        ref = np.array([_cauchy_by_np_roots(k, g, x) for x in lam.tolist()])
+        got = kernel_prox_vec(k, g, lam)
+        assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref))), (mu, eps, g)
 
 
 # --- configuration ------------------------------------------------------------
