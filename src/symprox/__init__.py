@@ -50,7 +50,6 @@ from .scalarprox import (
     lambert_w,
     parse_kernel,
     project_l1_ball,
-    prox_noisy_burg_quartic,
     soft,
 )
 from .spectralprox import SpectralProxRequest, bregman_div, bregman_prox, prox_spectral

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, InvalidInputError, NumericError
-from .scalarprox import Divergence, Penalty
+from .scalarprox import Divergence, Penalty, _phi_sum, _psi_sum
 from .splitting import DRConfig, ObjectiveSpec, SolveReport, dr_solve
 from .symlin import SymMatrix, as_sym, inner, spd_inverse
 
@@ -110,19 +110,13 @@ def grad_trace_term(prob, c):
 
 def f_noisy(prob, c):
     """log det(C^-1 + sigma2*I) through the eigenvalues of C; +inf unless PD."""
-    lam = np.linalg.eigvalsh(as_sym(c).mat)
-    if lam[0] <= 0:
-        return math.inf
-    return float((-np.log(lam) + np.log1p(prob.sigma2 * lam)).sum())
+    return _phi_sum(Divergence.noisy_burg(prob.sigma2), np.linalg.eigvalsh(as_sym(c).mat))
 
 
 def _g0_term(prob, c):
     if prob.mu0 == 0.0:
         return 0.0
-    lam = np.linalg.eigvalsh(as_sym(c).mat)
-    if lam[0] <= 0:
-        return math.inf
-    return prob.mu0 * float((1.0 / lam).sum())
+    return _psi_sum(Penalty.inv_schatten(prob.mu0, 1.0), np.linalg.eigvalsh(as_sym(c).mat))
 
 
 def _g1_term(prob, c):

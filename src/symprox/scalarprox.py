@@ -32,9 +32,6 @@ _PEN_KINDS = (
     "cauchy",
     "spectral_norm",
 )
-# Penalties that act on the whole eigenvalue vector (non-separable).
-VECTOR_PENALTIES = frozenset({"fro_norm", "fro_ball", "spectral_norm"})
-
 # Divergences whose domain forces nonnegative eigenvalues.
 _NONNEG_DIVS = frozenset({"burg", "shannon", "noisy_burg"})
 
@@ -211,8 +208,8 @@ _NEG_INV_E = -math.exp(-1.0)
 def lambert_w(x):
     """Principal branch of the Lambert W function for real x >= -1/e.
 
-    Branch-aware initialization followed by Halley iterations (cap 50,
-    tolerance 1e-14).
+    For x > 0 this is _w_exp(log x).  On [-1/e, 0): branch-aware
+    initialization followed by Halley iterations (cap 50, tolerance 1e-14).
     """
     x = float(x)
     if math.isnan(x):
@@ -223,15 +220,14 @@ def lambert_w(x):
         return 0.0
     if math.isinf(x):
         return math.inf
+    if x > 0.0:
+        return float(_w_exp(math.log(x)))
     if x < -0.3268:
         # series around the branch point in powers of sqrt(2(e*x + 1))
         q = math.sqrt(2.0 * (math.e * x + 1.0))
         w = -1.0 + q - q * q / 3.0 + 11.0 * q ** 3 / 72.0
-    elif x < math.e:
-        w = math.log1p(x)
     else:
-        lx = math.log(x)
-        w = lx - math.log(lx)
+        w = math.log1p(x)
     for _ in range(50):
         ew = math.exp(w)
         f = w * ew - x
@@ -249,17 +245,30 @@ def lambert_w(x):
 
 
 def _w_exp(z):
-    """W(exp(z)), stable for large z where exp(z) overflows."""
-    if z > 700.0:
-        w = z - math.log(z)
-        for _ in range(50):
-            # Newton on w + log(w) = z
-            wn = w - (w + math.log(w) - z) * w / (w + 1.0)
-            if abs(wn - w) <= 1e-14 * max(1.0, abs(wn)):
-                return wn
-            w = wn
-        return w
-    return lambert_w(math.exp(z))
+    """W(exp(z)) elementwise, stable where exp(z) overflows or underflows.
+
+    Halley steps on w + log(w) = z, started at z - log(z) for z > 1 (below
+    the root, without forming exp(z)) and at log1p(exp(z)) otherwise.
+    Below z = -40, W(x) = x - x^2 + ... rounds to x = exp(z).  An element
+    stops moving once it has converged, so its value does not depend on the
+    other elements of z.
+    """
+    z = np.asarray(z, float)
+    zc = np.maximum(z, -40.0)
+    big = zc > 1.0
+    x = np.exp(np.minimum(zc, 1.0))
+    w = np.where(big, zc - np.log(np.maximum(zc, 1.0)), np.log1p(x))
+    open_ = np.ones(w.shape, bool)
+    for _ in range(50):
+        # log(w / x) for z <= 1: log(w) - z would cancel to an error of eps*|z|
+        f = w + np.where(big, np.log(w) - zc, np.log(w / x))
+        w1 = w + 1.0
+        dw = np.where(open_, f * w / (w1 + 0.5 * f / w1), 0.0)
+        w = w - dw
+        open_ &= ~(np.abs(dw) <= 1e-14 * w)
+        if not open_.any():
+            return np.where(z < -40.0, np.exp(np.minimum(z, -40.0)), w)
+    raise NumericError(f"W(exp(z)): {int(open_.sum())} elements did not converge in 50 steps")
 
 
 def project_l1_ball(v, radius):
@@ -447,13 +456,6 @@ def kernel_eval_vec(k, lam):
     return v + w if not math.isinf(w) else math.inf
 
 
-def _prox_obj(k, gamma, lam, d):
-    val = kernel_eval_vec(k, np.array([float(d)]))
-    if math.isinf(val):
-        return math.inf
-    return 0.5 * (d - lam) ** 2 + gamma * val
-
-
 # ---------------------------------------------------------------------------
 # prox: half-square divergence rows
 
@@ -529,8 +531,7 @@ def _prox_burg_vec(div, pen, g, lam):
 
 
 def _shannon_none_vec(g, lam):
-    logg = math.log(g)
-    return g * np.array([_w_exp(x / g - 1.0 - logg) for x in np.atleast_1d(lam)])
+    return g * _w_exp(lam / g - 1.0 - math.log(g))
 
 
 def _prox_shannon_vec(div, pen, g, lam):
@@ -539,92 +540,50 @@ def _prox_shannon_vec(div, pen, g, lam):
     if k == "none":
         return _shannon_none_vec(g, lam)
     if k == "nuclear" or (k == "schatten" and pen.p == 1.0):
-        return g * np.array([_w_exp(x / g - pen.mu - 1.0 - logg) for x in lam])
+        return g * _w_exp(lam / g - pen.mu - 1.0 - logg)
     if k == "fro_squared" or (k == "schatten" and pen.p == 2.0):
         c = 2.0 * pen.mu * g + 1.0
         z0 = math.log(c) - logg - 1.0
-        return (g / c) * np.array([_w_exp(x / g + z0) for x in lam])
+        return (g / c) * _w_exp(lam / g + z0)
     if k == "eig_box":
         return np.clip(_shannon_none_vec(g, lam), pen.alpha, pen.beta)
     return _kernel_root_vec(div, pen, g, lam)
-
-
-def prox_noisy_burg_quartic(gamma, mu0, sigma2, lam):
-    """Unique positive minimizer of
-    (d - lam)^2/2 + gamma*(-log(d/(1 + sigma2*d)) + mu0/d).
-
-    First-order optimality multiplies out to a degree-4 polynomial in d;
-    the root is isolated by safeguarded Newton-bisection on the strictly
-    increasing stationarity function.
-    """
-    if not gamma > 0:
-        raise ConfigurationError("gamma must be positive")
-    if mu0 < 0 or sigma2 < 0:
-        raise ConfigurationError("mu0 and sigma2 must be nonnegative")
-    pen = Penalty.inv_schatten(mu0, 1.0) if mu0 > 0 else Penalty.none()
-    lam = np.array([float(lam)])
-    return float(_prox_separable_vec(Divergence.noisy_burg(sigma2), pen, gamma, lam)[0])
 
 
 # ---------------------------------------------------------------------------
 # set-valued rows
 
 
-def _rank_candidates(div, pen, g, lam):
+def _rank_vec(div, pen, g, lam):
+    """The rank rows' nonzero candidate x per element and its margin over
+    the closed-form threshold (tau on |x| for half-square, chi on x for
+    Shannon): the minimizer is x above it, 0 below it, and both at 0."""
     if div.kind == "half_square":
-        tau = math.sqrt(2.0 * pen.mu * g / (1.0 + g))
         x = lam / (1.0 + g)
-        if abs(x) > tau:
-            return (x,)
-        if abs(x) == tau and x != 0.0:
-            return (0.0, x)
-        return (0.0,)
-    # shannon
-    rho = g * _w_exp(lam / g - 1.0 - math.log(g))
-    chi = math.sqrt(g * (g + 2.0 * pen.mu)) - g
-    if rho > chi:
-        return (rho,)
-    if rho == chi and rho > 0.0:
-        return (0.0, rho)
-    return (0.0,)
+        return x, np.abs(x) - math.sqrt(2.0 * pen.mu * g / (1.0 + g))
+    x = _shannon_none_vec(g, lam)
+    return x, x - (math.sqrt(g * (g + 2.0 * pen.mu)) - g)
 
 
-def _select_minimizers(k, gamma, lam, candidates):
-    """Evaluate the prox objective at each candidate; keep the global set,
-    ordered by (objective, |d|)."""
-    scored = []
-    for d in candidates:
-        val = _prox_obj(k, gamma, lam, d)
-        if math.isfinite(val):
-            scored.append((val, abs(d), d))
-    if not scored:
-        raise DomainError("prox candidate set is empty")
-    scored.sort()
-    best = scored[0][0]
-    tol = 1e-11 * max(1.0, abs(best))
-    out = []
-    for val, _, d in scored:
-        if val > best + tol:
-            break
-        if all(abs(d - o) > 1e-12 * max(1.0, abs(d)) for o in out):
-            out.append(d)
-    return tuple(out)
+def _cauchy_scored(k, g, lam):
+    """Candidates of the Cauchy rows per element of lam and their prox
+    objectives, as (m, K) arrays with each row sorted by (objective, |d|, d).
 
-
-def _cauchy_candidates(k, g, lam):
-    """Per element of lam, the minimizers among the real roots of the
-    stationarity condition multiplied out to a polynomial in d.  The roots
-    of all elements come from one batched eigenvalue solve of their
-    companion matrices (the matrices np.roots would build one at a time)."""
+    The candidates are the real roots of the stationarity condition
+    multiplied out to a polynomial in d (plus d = 0 on the half-square row).
+    The roots of all elements come from one batched eigenvalue solve of
+    their companion matrices (the matrices np.roots would build one at a
+    time).  Complex roots are NaN; they and roots outside the divergence's
+    domain score +inf.
+    """
     mu, eps = k.penalty.mu, k.penalty.eps
-    if k.divergence.kind == "half_square":
+    hs = k.divergence.kind == "half_square"
+    if hs:
         # ((1+g)d - lam)(d^2 + eps) + 2 g mu d = 0
         coefs = (1.0 + g, -lam, eps * (1.0 + g) + 2.0 * g * mu, -lam * eps)
-        extra = (0.0,)
     else:
         # burg: ((d - lam)d - g)(d^2 + eps) + 2 g mu d^2 = 0, on d > 0
         coefs = (1.0, -lam, eps - g + 2.0 * g * mu, -lam * eps, -g * eps)
-        extra = ()
     deg = len(coefs) - 1
     comp = np.zeros((lam.size, deg, deg))
     comp[:, 0, :] = -np.stack(np.broadcast_arrays(*coefs[1:]), axis=1) / coefs[0]
@@ -632,10 +591,20 @@ def _cauchy_candidates(k, g, lam):
     roots = np.linalg.eigvals(comp)
     # near-double real roots can come back as a pair with a tiny imaginary part
     real = np.abs(roots.imag) <= 1e-6 * np.maximum(1.0, np.abs(roots.real))
-    return [
-        _select_minimizers(k, g, x, sorted({*extra, *r.real[ok].tolist()}, key=abs))
-        for x, r, ok in zip(lam.tolist(), roots, real)
-    ]
+    d = np.where(real, roots.real, np.nan)
+    with np.errstate(all="ignore"):
+        if hs:
+            d = np.concatenate([np.zeros((lam.size, 1)), d], axis=1)
+            phi = 0.5 * (d * d)
+        else:
+            phi = np.where(d > 0.0, -np.log(d), np.inf)
+        obj = 0.5 * (d - lam[:, None]) ** 2 + g * (phi + mu * np.log(d * d + eps))
+    obj = np.where(np.isfinite(obj), obj, np.inf)
+    order = np.lexsort((d, np.abs(d), obj))
+    d, obj = np.take_along_axis(d, order, 1), np.take_along_axis(obj, order, 1)
+    if not np.isfinite(obj[:, 0]).all():
+        raise DomainError("prox candidate set is empty")
+    return d, obj
 
 
 # ---------------------------------------------------------------------------
@@ -661,15 +630,22 @@ def kernel_prox(k, gamma, lam):
     """
     if not gamma > 0:
         raise ConfigurationError("gamma must be positive")
-    lam = float(lam)
-    pen = k.penalty
-    if pen.kind == "rank":
-        return _rank_candidates(k.divergence, pen, gamma, lam)
-    if pen.kind == "cauchy":
-        return _cauchy_candidates(k, gamma, np.array([lam]))[0]
-    if pen.kind in VECTOR_PENALTIES:
-        return (float(kernel_prox_vec(k, gamma, np.array([lam]))[0]),)
-    return (float(_prox_separable_vec(k.divergence, pen, gamma, np.array([lam]))[0]),)
+    lam = np.array([float(lam)])
+    if k.penalty.kind == "rank":
+        x, margin = _rank_vec(k.divergence, k.penalty, gamma, lam)
+        if margin[0] == 0.0 and x[0] != 0.0:
+            return (0.0, float(x[0]))
+    elif k.penalty.kind == "cauchy":
+        d, obj = _cauchy_scored(k, gamma, lam)
+        best = obj[0, 0]
+        tied = []
+        for di, oi in zip(d[0].tolist(), obj[0].tolist()):
+            if oi > best + 1e-11 * max(1.0, abs(best)):
+                break
+            if all(abs(di - t) > 1e-12 * max(1.0, abs(di)) for t in tied):
+                tied.append(di)
+        return tuple(tied)
+    return (float(kernel_prox_vec(k, gamma, lam)[0]),)
 
 
 def kernel_prox_vec(k, gamma, lam):
@@ -694,9 +670,10 @@ def kernel_prox_vec(k, gamma, lam):
         mg = pen.mu * gamma
         return (lam - mg * project_l1_ball(lam / mg, 1.0)) / (1.0 + gamma)
     if pen.kind == "rank":
-        return np.array([kernel_prox(k, gamma, x)[0] for x in lam])
+        x, margin = _rank_vec(k.divergence, pen, gamma, lam)
+        return np.where(margin > 0.0, x, 0.0)
     if pen.kind == "cauchy":
-        return np.array([c[0] for c in _cauchy_candidates(k, gamma, lam)])
+        return _cauchy_scored(k, gamma, lam)[0][:, 0]
     return _prox_separable_vec(k.divergence, pen, gamma, lam)
 
 

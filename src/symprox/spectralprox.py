@@ -16,7 +16,6 @@ from .errors import ConfigurationError, DomainError
 from .scalarprox import (
     Penalty,
     ScalarKernel,
-    VECTOR_PENALTIES,
     _DPHI,
     _newton_bisect_vec,
     _phi_sum,
@@ -84,7 +83,8 @@ def _double_mu(pen):
 
 
 def _bregman_scalar_vec(div, pen, y):
-    """Per-eigenvalue Bregman prox: argmin_d psi(d) + D_phi(d, y)."""
+    """Bregman prox on the anchor's eigenvalues: argmin_d psi(d) + D_phi(d, y)
+    (the half-square rows include the whole-vector penalties)."""
     k = div.kind
     pk = pen.kind
     if k == "half_square":
@@ -109,9 +109,7 @@ def _bregman_scalar_vec(div, pen, y):
             return y * math.exp(-mu)
         if pk == "fro_squared":
             # 2*mu*d + log d = log y  =>  d = W(2*mu*y) / (2*mu)
-            return np.array([_w_exp(math.log(2.0 * mu) + math.log(v)) for v in y]) / (
-                2.0 * mu
-            )
+            return _w_exp(math.log(2.0 * mu) + np.log(y)) / (2.0 * mu)
     # phi'(d) + psi'(d) = phi'(y), increasing in d
     hdh = _stationarity(div, pen, 0.0, _DPHI[k](div.sigma2, y)[0])
     return _newton_bisect_vec(hdh, y)
@@ -134,14 +132,6 @@ def bregman_prox(div, psi_kernel, y):
     y = as_sym(y)
     uy, yl = _eigh_desc(y.mat)
     _check_interior(div, yl)
-    if div.kind == "half_square" and psi_kernel.kind in VECTOR_PENALTIES:
-        kern = ScalarKernel(div, _double_mu(psi_kernel))
-        d = kernel_prox_vec(kern, 1.0, 2.0 * yl)
-    else:
-        if psi_kernel.kind in VECTOR_PENALTIES:
-            raise ConfigurationError(
-                f"penalty '{psi_kernel.kind}' pairs only with half_square"
-            )
-        ScalarKernel(div, psi_kernel)  # validate the pairing
-        d = _bregman_scalar_vec(div, psi_kernel, yl)
+    ScalarKernel(div, psi_kernel)  # validate the pairing
+    d = _bregman_scalar_vec(div, psi_kernel, yl)
     return SymMatrix(_recompose_raw(uy, d), strict=False)

@@ -6,6 +6,7 @@ import time
 
 import numpy as np
 
+import symprox.scalarprox
 from symprox import (
     DRConfig,
     Divergence,
@@ -19,6 +20,7 @@ from symprox import (
     glasso_solve,
     grad_trace_term,
     kernel_prox,
+    kernel_prox_vec,
     lambert_w,
     majorant_eval,
     mm_solve,
@@ -137,6 +139,53 @@ def test_criterion_1_scalar_prox_oracle_suite():
         f"ACCEPTANCE 1 PASS: {count} kernel/parameter draws, worst objective gap "
         f"{worst:.2e} <= 1e-6, runtime {elapsed:.1f}s < 60s"
     )
+
+
+def test_kernel_prox_reads_kernel_prox_vec_on_criterion_1_rows(monkeypatch):
+    # kernel_prox is kernel_prox_vec read at one eigenvalue: the same bits on
+    # every row.  On the separable rows it also equals the whole-vector call
+    # element by element, bitwise except on root-solved rows, where an
+    # element can take extra steps while others in its batch converge (the
+    # solver stops on steps below 1e-12*max(|d|, 1e-12)).
+    root_calls = []
+    solver = symprox.scalarprox._newton_bisect_vec
+
+    def counted(*args, **kwargs):
+        root_calls.append(1)
+        return solver(*args, **kwargs)
+
+    monkeypatch.setattr(symprox.scalarprox, "_newton_bisect_vec", counted)
+    rng = np.random.default_rng(211)
+    extremes = [0.0, 1e-8, -1e-8, 1e4, -1e4, 1e8, -1e8]
+    checked = 0
+    for draw in range(4):
+        for k in _kernel_catalog(rng):
+            for gamma in (0.05, 1.0, 7.0):
+                lam = np.concatenate([rng.uniform(-4.0, 4.0, 9), extremes])
+                root_calls.clear()
+                vec = kernel_prox_vec(k, gamma, lam)
+                root_solved = bool(root_calls)
+                for i, x in enumerate(lam):
+                    (first, *_) = kernel_prox(k, gamma, x)
+                    assert first == kernel_prox_vec(k, gamma, lam[i:i + 1])[0], (k, gamma, x)
+                    if k.penalty.kind in ("fro_norm", "fro_ball", "spectral_norm"):
+                        continue
+                    if root_solved:
+                        assert abs(first - vec[i]) <= 4e-12 * max(abs(vec[i]), 1e-12), (k, gamma, x)
+                    else:
+                        assert first == vec[i], (k, gamma, x)
+                    checked += 1
+    # the half-square rank threshold tie, and the Burg-Cauchy row with two
+    # local minima whose global one is the larger
+    g = 1.0
+    k = ScalarKernel(HS, Penalty.rank(0.5))
+    tie = math.sqrt(2.0 * 0.5 * g / (1.0 + g)) * (1.0 + g)
+    assert kernel_prox(k, g, tie) == (0.0, tie / (1.0 + g))
+    assert kernel_prox_vec(k, g, np.array([0.3, tie, 2.0]))[1] == 0.0
+    k = ScalarKernel(BURG, Penalty.cauchy(3.0, 0.01))
+    (d,) = kernel_prox(k, 0.1, 1.6)
+    assert d > 1.0 and d == kernel_prox_vec(k, 0.1, np.array([0.2, 1.6, 5.0]))[1]
+    assert checked > 3000
 
 
 _FAMILIES_2X2 = [

@@ -23,10 +23,9 @@ from symprox import (
     lambert_w,
     parse_kernel,
     project_l1_ball,
-    prox_noisy_burg_quartic,
     soft,
 )
-from symprox.scalarprox import _newton_bisect_vec, _select_minimizers
+from symprox.scalarprox import _newton_bisect_vec, _w_exp
 
 from _oracles import golden_min, l1_projection_kkt, phi_value, psi_value, scalar_prox_oracle
 
@@ -244,6 +243,14 @@ def test_schatten3_implicit_matches_closed_form():
 
 
 # --- noisy-Burg quartic -----------------------------------------------------
+
+
+def prox_noisy_burg_quartic(gamma, mu0, sigma2, lam):
+    """The noisy-Burg row with penalty mu0/d (none when mu0 = 0) at one
+    eigenvalue, through kernel_prox_vec."""
+    pen = Penalty.inv_schatten(mu0, 1.0) if mu0 > 0 else Penalty.none()
+    k = ScalarKernel(Divergence.noisy_burg(sigma2), pen)
+    return float(kernel_prox_vec(k, gamma, [lam])[0])
 
 
 def test_quartic_trivial_reductions():
@@ -570,7 +577,8 @@ def test_burg_cauchy_picks_the_global_of_two_local_minima():
 
 def _cauchy_by_np_roots(k, g, lam):
     """The per-element algorithm: real roots of the stationarity polynomial
-    from np.roots, then the global set among them."""
+    from np.roots, then the best of them by (objective, |d|, d), scored
+    with the oracle's phi and psi."""
     mu, eps = k.penalty.mu, k.penalty.eps
     if k.divergence.kind == "half_square":
         coefs = (1.0 + g, -lam, eps * (1.0 + g) + 2.0 * g * mu, -lam * eps)
@@ -581,7 +589,7 @@ def _cauchy_by_np_roots(k, g, lam):
     roots = np.roots(coefs)
     real = np.abs(roots.imag) <= 1e-6 * np.maximum(1.0, np.abs(roots.real))
     cands.update(float(r) for r in roots.real[real])
-    return _select_minimizers(k, g, lam, sorted(cands, key=abs))[0]
+    return min(cands, key=lambda d: (_obj(k, g, lam, d), abs(d), d))
 
 
 @pytest.mark.parametrize("div", [HS, BURG], ids=["half_square", "burg"])
@@ -678,3 +686,23 @@ def test_fro_ball_vector_formula():
     assert np.allclose(out, lam / 5.0, atol=1e-14)
     small = np.array([0.4, 0.4])
     assert np.allclose(kernel_prox_vec(k, 1.0, small), small / 2.0, atol=1e-14)
+
+
+def test_w_exp_matches_scipy_and_solves_its_equation():
+    # W(exp(z)) through overflow (z > 709) and underflow (z < -745) of exp(z),
+    # and across the z = -40 cut below which it returns exp(z)
+    z = np.concatenate(
+        [
+            [-1e12, -745.0, -40.0 - 1e-9, -40.0 + 1e-9, -1.0, 0.0, 1.0, 700.0, 701.0, 1e6],
+            -np.geomspace(1e-8, 1e3, 60),
+            np.geomspace(1e-8, 1e14, 80),
+        ]
+    )
+    w = _w_exp(z)
+    assert np.all(np.isfinite(w)) and np.all(w >= 0.0)
+    fin = z < 709.0  # exp(z) is finite
+    ref = scipy.special.lambertw(np.exp(z[fin])).real
+    assert np.all(np.abs(w[fin] - ref) <= 1e-15 * ref)
+    big = w[~fin]
+    assert big.size >= 20
+    assert np.all(np.abs(big + np.log(big) - z[~fin]) <= 1e-15 * z[~fin])
