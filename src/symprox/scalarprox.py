@@ -557,7 +557,8 @@ def _prox_shannon_vec(div, pen, g, lam):
 def _rank_vec(div, pen, g, lam):
     """The rank rows' nonzero candidate x per element and its margin over
     the closed-form threshold (tau on |x| for half-square, chi on x for
-    Shannon): the minimizer is x above it, 0 below it, and both at 0."""
+    Shannon): the minimizer is x for a positive margin, 0 for a negative
+    one, and both for a zero margin."""
     if div.kind == "half_square":
         x = lam / (1.0 + g)
         return x, np.abs(x) - math.sqrt(2.0 * pen.mu * g / (1.0 + g))
