@@ -294,7 +294,9 @@ def _newton_bisect_vec(hdh, hi, tol=1e-12, max_iter=200):
     The bracket is [0, hi] (hi > 0), with hi doubled until h(hi) >= 0.
     Steps stop below tol*max(|x|, tol): relative accuracy, so that roots far
     below 1 keep their digits, with an absolute floor of tol**2 that a root
-    underflowing to 0 reaches within max_iter halvings.  Raises
+    underflowing to 0 reaches within max_iter halvings.  An element stops
+    moving once it has converged, so its root does not depend on the other
+    elements of the call.  Raises
     BracketingError when h(0) > 0 or no finite upper end exists, and
     NumericError when elements are still unconverged after max_iter steps.
     """
@@ -314,6 +316,7 @@ def _newton_bisect_vec(hdh, hi, tol=1e-12, max_iter=200):
         raise BracketingError(f"h(0) > 0 for {int((~(ha <= 0.0)).sum())} elements")
     b = np.where(ha == 0.0, 0.0, b)  # a root at 0 is returned exactly
     x = 0.5 * (a + b)
+    open_ = np.ones(x.shape, bool)
     for _ in range(max_iter):
         with np.errstate(all="ignore"):
             hx, dhx = hdh(x)
@@ -323,10 +326,11 @@ def _newton_bisect_vec(hdh, hi, tol=1e-12, max_iter=200):
         b = np.where(neg, b, x)
         bad = ~np.isfinite(xn) | (xn <= a) | (xn >= b)
         xn = np.where(bad, 0.5 * (a + b), xn)
-        open_ = np.abs(xn - x) > tol * np.maximum(tol, np.abs(xn))
+        moved = np.abs(xn - x) > tol * np.maximum(tol, np.abs(xn))
+        x = np.where(open_, xn, x)
+        open_ &= moved
         if not open_.any():
-            return xn
-        x = xn
+            return x
     raise NumericError(
         f"root solver: {int(open_.sum())} of {x.size} elements did not converge "
         f"in {max_iter} steps"
@@ -457,97 +461,29 @@ def kernel_eval_vec(k, lam):
 
 
 # ---------------------------------------------------------------------------
-# prox: half-square divergence rows
+# closed forms
 
 
-def _hs_schatten_vec(div, pen, g, lam):
-    mu, p = pen.mu, pen.p
-    if p == 1.0:
-        return soft(g * mu / (g + 1.0), lam / (g + 1.0))
-    if p == 2.0:
-        return lam / (1.0 + g * (1.0 + 2.0 * mu))
-    if p == 3.0:
-        # stationarity 3*mu*g*t^2 + (g+1)*t = |lam|; the closed form is odd in lam
-        return np.sign(lam) * (
-            np.sqrt((g + 1.0) ** 2 + 12.0 * np.abs(lam) * g * mu) - (g + 1.0)
-        ) / (6.0 * g * mu)
-    if p == 4.0:
-        zeta = (g + 1.0) ** 3 / (27.0 * g * mu)
-        s = np.sqrt(lam * lam + zeta)
-        return (np.cbrt(lam + s) + np.cbrt(lam - s)) * (8.0 * g * mu) ** (-1.0 / 3.0)
-    if abs(p - 4.0 / 3.0) < 1e-12:
-        zeta = 256.0 * (g * mu) ** 3 / (729.0 * (1.0 + g))
-        s = np.sqrt(lam * lam + zeta)
-        corr = (4.0 * g * mu) / (3.0 * np.cbrt(2.0 * (1.0 + g)))
-        return (lam + corr * (np.cbrt(s - lam) - np.cbrt(s + lam))) / (1.0 + g)
-    if p == 1.5:
-        w = 9.0 * g * g * mu * mu / (8.0 * (1.0 + g))
-        r = np.sqrt(1.0 + 16.0 * (1.0 + g) * np.abs(lam) / (9.0 * g * g * mu * mu))
-        return (lam + w * np.sign(lam) * (1.0 - r)) / (1.0 + g)
-    # the prox is odd in lam: solve for |d| at |lam|
-    return np.sign(lam) * _kernel_root_vec(div, pen, g, np.abs(lam))
+def _burg_root(b, c):
+    """The positive root of d^2 - b d - c (c > 0), without cancellation."""
+    s = np.sqrt(b * b + 4.0 * c)
+    return np.where(b >= 0.0, 0.5 * (b + s), 2.0 * c / (s + np.abs(b)))
 
 
-def _prox_hs_vec(div, pen, g, lam):
-    k = pen.kind
-    if k == "none":
-        return lam / (1.0 + g)
-    if k == "nuclear":
-        return soft(g * pen.mu / (g + 1.0), lam / (g + 1.0))
-    if k == "fro_squared":
-        return lam / (1.0 + g * (1.0 + 2.0 * pen.mu))
-    if k == "eig_box":
-        return np.clip(lam / (g + 1.0), pen.alpha, pen.beta)
-    if k == "schatten":
-        return _hs_schatten_vec(div, pen, g, lam)
-    return _kernel_root_vec(div, pen, g, lam)
+# prox of g*phi at lam for each divergence with a closed form
+_PROX_PHI = {
+    "half_square": lambda g, lam: lam / (1.0 + g),
+    "burg": lambda g, lam: _burg_root(lam, g),
+    "shannon": lambda g, lam: g * _w_exp(lam / g - 1.0 - math.log(g)),
+}
 
 
-# ---------------------------------------------------------------------------
-# prox: Burg divergence rows
-
-
-def _burg_none_vec(g, lam):
-    return 0.5 * (lam + np.sqrt(lam * lam + 4.0 * g))
-
-
-def _prox_burg_vec(div, pen, g, lam):
-    k = pen.kind
-    if k == "none":
-        return _burg_none_vec(g, lam)
-    if k == "nuclear" or (k == "schatten" and pen.p == 1.0):
-        shifted = lam - g * pen.mu
-        return 0.5 * (shifted + np.sqrt(shifted * shifted + 4.0 * g))
-    if k == "fro_squared" or (k == "schatten" and pen.p == 2.0):
-        c = 2.0 * g * pen.mu + 1.0
-        return (lam + np.sqrt(lam * lam + 4.0 * g * c)) / (2.0 * c)
-    if k == "eig_box":
-        return np.clip(_burg_none_vec(g, lam), pen.alpha, pen.beta)
-    return _kernel_root_vec(div, pen, g, lam)
-
-
-# ---------------------------------------------------------------------------
-# prox: Shannon divergence rows
-
-
-def _shannon_none_vec(g, lam):
-    return g * _w_exp(lam / g - 1.0 - math.log(g))
-
-
-def _prox_shannon_vec(div, pen, g, lam):
-    k = pen.kind
-    logg = math.log(g)
-    if k == "none":
-        return _shannon_none_vec(g, lam)
-    if k == "nuclear" or (k == "schatten" and pen.p == 1.0):
-        return g * _w_exp(lam / g - pen.mu - 1.0 - logg)
-    if k == "fro_squared" or (k == "schatten" and pen.p == 2.0):
-        c = 2.0 * pen.mu * g + 1.0
-        z0 = math.log(c) - logg - 1.0
-        return (g / c) * _w_exp(lam / g + z0)
-    if k == "eig_box":
-        return np.clip(_shannon_none_vec(g, lam), pen.alpha, pen.beta)
-    return _kernel_root_vec(div, pen, g, lam)
+def _degree(pen):
+    """1 for a linear penalty mu*|d| (nuclear, Schatten p = 1), 2 for a
+    quadratic one mu*d^2 (fro_squared, Schatten p = 2), else 0."""
+    if pen.kind == "schatten" and pen.p in (1.0, 2.0):
+        return int(pen.p)
+    return {"nuclear": 1, "fro_squared": 2}.get(pen.kind, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -559,10 +495,9 @@ def _rank_vec(div, pen, g, lam):
     the closed-form threshold (tau on |x| for half-square, chi on x for
     Shannon): the minimizer is x for a positive margin, 0 for a negative
     one, and both for a zero margin."""
+    x = _PROX_PHI[div.kind](g, lam)
     if div.kind == "half_square":
-        x = lam / (1.0 + g)
         return x, np.abs(x) - math.sqrt(2.0 * pen.mu * g / (1.0 + g))
-    x = _shannon_none_vec(g, lam)
     return x, x - (math.sqrt(g * (g + 2.0 * pen.mu)) - g)
 
 
@@ -613,14 +548,28 @@ def _cauchy_scored(k, g, lam):
 
 
 def _prox_separable_vec(div, pen, g, lam):
-    if div.kind == "half_square":
-        return _prox_hs_vec(div, pen, g, lam)
-    if div.kind == "shannon":
-        return _prox_shannon_vec(div, pen, g, lam)
-    if div.kind == "burg" or div.sigma2 == 0.0:
-        # noisy_burg with sigma2 = 0 is Burg, so the Burg closed forms apply
-        return _prox_burg_vec(div, pen, g, lam)
-    return _kernel_root_vec(div, pen, g, lam)
+    """The separable rows: changes of variable of _PROX_PHI where the penalty
+    is none, a box, linear or quadratic, the root solver otherwise."""
+    # noisy_burg with sigma2 = 0 is Burg
+    kind = "burg" if div.kind == "noisy_burg" and div.sigma2 == 0.0 else div.kind
+    prox_phi = _PROX_PHI.get(kind)
+    deg = _degree(pen)
+    if prox_phi is None or not (deg or pen.kind in ("none", "eig_box")):
+        if div.kind == "half_square" and pen.kind == "schatten":
+            # the prox is odd in lam: solve for |d| at |lam|
+            return np.sign(lam) * _kernel_root_vec(div, pen, g, np.abs(lam))
+        return _kernel_root_vec(div, pen, g, lam)
+    if deg == 2:
+        # g*mu*d^2 merges into the quadratic term: rescale gamma and lam
+        c = 1.0 + 2.0 * g * pen.mu
+        return prox_phi(g / c, lam / c)
+    if deg == 1 and div.kind == "half_square":
+        return soft(g * pen.mu / (g + 1.0), prox_phi(g, lam))
+    if deg == 1:
+        # g*mu*d on d >= 0 shifts lam
+        return prox_phi(g, lam - g * pen.mu)
+    d = prox_phi(g, lam)
+    return np.clip(d, pen.alpha, pen.beta) if pen.kind == "eig_box" else d
 
 
 def kernel_prox(k, gamma, lam):

@@ -8,19 +8,19 @@ diagonalize/solve/recompose route in the eigenbasis of the anchor.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
 from .scalarprox import (
-    Penalty,
     ScalarKernel,
     _DPHI,
+    _PROX_PHI,
+    _degree,
     _newton_bisect_vec,
     _phi_sum,
     _stationarity,
-    _w_exp,
     kernel_prox_vec,
 )
 from .symlin import SymMatrix, _eigh_desc, _recompose_raw, as_sym, inner
@@ -75,44 +75,30 @@ def bregman_div(div, c, y):
     return fc - fy - inner(grad, SymMatrix(c.mat - y.mat, strict=False))
 
 
-def _double_mu(pen):
-    if pen.kind in ("none", "eig_box", "fro_ball"):
-        return pen
-    return Penalty(pen.kind, mu=2.0 * pen.mu, p=pen.p, eps=pen.eps,
-                   alpha=pen.alpha, beta=pen.beta)
-
-
 def _bregman_scalar_vec(div, pen, y):
     """Bregman prox on the anchor's eigenvalues: argmin_d psi(d) + D_phi(d, y)
     (the half-square rows include the whole-vector penalties)."""
     k = div.kind
-    pk = pen.kind
     if k == "half_square":
         # D_phi(d, y) = (d - y)^2 / 2: the classical prox of psi at y, which
         # is the gamma = 1 spectral kernel at 2y with doubled penalty weight
-        kern = ScalarKernel(div, _double_mu(pen))
+        kern = ScalarKernel(div, replace(pen, mu=2.0 * pen.mu))
         return kernel_prox_vec(kern, 1.0, 2.0 * y)
-    if pk == "none":
+    if pen.kind == "none":
         return y.copy()
-    if pk == "eig_box":
-        lo = max(pen.alpha, 0.0)
-        return np.clip(y, lo, pen.beta)
+    if pen.kind == "eig_box":
+        return np.clip(y, pen.alpha, pen.beta)
     mu = pen.mu
-    if k == "burg":
-        if pk == "nuclear":
-            return y / (1.0 + mu * y)
-        if pk == "fro_squared":
-            iy = 1.0 / y
-            return (-iy + np.sqrt(iy * iy + 8.0 * mu)) / (4.0 * mu)
-    if k == "shannon":
-        if pk == "nuclear":
-            return y * math.exp(-mu)
-        if pk == "fro_squared":
-            # 2*mu*d + log d = log y  =>  d = W(2*mu*y) / (2*mu)
-            return _w_exp(math.log(2.0 * mu) + np.log(y)) / (2.0 * mu)
+    deg = _degree(pen)
+    if deg == 1:
+        return y / (1.0 + mu * y) if k == "burg" else y * math.exp(-mu)
+    target = _DPHI[k](div.sigma2, y)[0]
+    if deg == 2:
+        # mu*d^2 - phi'(y)*d + phi(d) is a prox of g*phi at g*phi'(y), g = 1/(2 mu)
+        g = 0.5 / mu
+        return _PROX_PHI[k](g, g * target)
     # phi'(d) + psi'(d) = phi'(y), increasing in d
-    hdh = _stationarity(div, pen, 0.0, _DPHI[k](div.sigma2, y)[0])
-    return _newton_bisect_vec(hdh, y)
+    return _newton_bisect_vec(_stationarity(div, pen, 0.0, target), y)
 
 
 def bregman_prox(div, psi_kernel, y):
@@ -132,6 +118,6 @@ def bregman_prox(div, psi_kernel, y):
     y = as_sym(y)
     uy, yl = _eigh_desc(y.mat)
     _check_interior(div, yl)
-    ScalarKernel(div, psi_kernel)  # validate the pairing
-    d = _bregman_scalar_vec(div, psi_kernel, yl)
+    pen = ScalarKernel(div, psi_kernel).penalty  # validated, eig_box bounds clipped
+    d = _bregman_scalar_vec(div, pen, yl)
     return SymMatrix(_recompose_raw(uy, d), strict=False)

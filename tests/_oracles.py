@@ -72,6 +72,47 @@ def psi_value(pen, d):
     raise ValueError(k)
 
 
+def phi_slope(div_kind, sigma2, d):
+    """Divergence derivative at points d (vectorized); -inf at and left of 0
+    for the divergences whose domain is [0, inf) or (0, inf)."""
+    d = np.asarray(d, float)
+    if div_kind == "half_square":
+        return d.copy()
+    out = np.full(d.shape, -np.inf)
+    ok = d > 0
+    x = d[ok]
+    if div_kind == "burg":
+        out[ok] = -1.0 / x
+    elif div_kind == "shannon":
+        out[ok] = np.log(x) + 1.0
+    elif div_kind == "noisy_burg":
+        out[ok] = -1.0 / x + sigma2 / (1.0 + sigma2 * x)
+    else:
+        raise ValueError(div_kind)
+    return out
+
+
+def psi_slope(pen, d):
+    """Derivative of a smooth or |d|-type separable penalty at points d != 0
+    (vectorized); -inf at and left of 0 for inv_schatten."""
+    d = np.asarray(d, float)
+    k = pen.kind
+    if k == "none":
+        return np.zeros(d.shape)
+    if k == "nuclear":
+        return pen.mu * np.sign(d)
+    if k == "fro_squared":
+        return 2.0 * pen.mu * d
+    if k == "schatten":
+        return pen.mu * pen.p * np.abs(d) ** (pen.p - 1.0) * np.sign(d)
+    if k == "inv_schatten":
+        out = np.full(d.shape, -np.inf)
+        ok = d > 0
+        out[ok] = -pen.mu * pen.p * d[ok] ** (-pen.p - 1.0)
+        return out
+    raise ValueError(k)
+
+
 def golden_min(f, a, b, iters=140):
     """Golden-section minimization on [a, b]; returns the midpoint."""
     x1 = b - _GOLD * (b - a)

@@ -27,7 +27,15 @@ from symprox import (
 )
 from symprox.scalarprox import _newton_bisect_vec, _w_exp
 
-from _oracles import golden_min, l1_projection_kkt, phi_value, psi_value, scalar_prox_oracle
+from _oracles import (
+    golden_min,
+    l1_projection_kkt,
+    phi_slope,
+    phi_value,
+    psi_slope,
+    psi_value,
+    scalar_prox_oracle,
+)
 
 HS = Divergence.half_square()
 BURG = Divergence.burg()
@@ -382,6 +390,23 @@ def test_firm_nonexpansive_and_monotone_convex_kernels():
             assert abs(pa - pb) <= abs(a - b) + 1e-10
 
 
+def test_schatten_1_and_2_are_the_nuclear_and_fro_squared_rows():
+    # mu*|d|^1 and mu*|d|^2 are the nuclear and fro_squared penalties: the
+    # same bits in the kernel prox and in the Bregman prox
+    lam = np.concatenate([np.linspace(-5.0, 5.0, 41), [-1e8, -1e-8, 1e-8, 1e8]])
+    y = np.diag(np.logspace(-6, 6, 13))
+    for mu in (0.05, 1.0, 30.0):
+        for p, same in ((1.0, Penalty.nuclear(mu)), (2.0, Penalty.fro_squared(mu))):
+            sch = Penalty.schatten(mu, p)
+            for div in (HS, BURG, SHANNON):
+                for g in (0.1, 1.0, 7.0):
+                    a = kernel_prox_vec(ScalarKernel(div, sch), g, lam)
+                    b = kernel_prox_vec(ScalarKernel(div, same), g, lam)
+                    assert np.array_equal(a, b), (div, p, mu, g)
+                a, b = bregman_prox(div, sch, y).mat, bregman_prox(div, same, y).mat
+                assert np.array_equal(a, b), (div, p, mu)
+
+
 def _no_penalty(mu):
     return Penalty.none()
 
@@ -474,7 +499,7 @@ def test_noisy_log_composition_midpoint_convexity():
         assert f(mid) <= t * f(a) + (1 - t) * f(b) + 1e-12
 
 
-# --- root-solved rows at extreme parameters ----------------------------------
+# --- separable rows at extreme parameters --------------------------------------
 
 _EXTREME_LAMS = np.concatenate([-np.logspace(8, -8, 17), [0.0], np.logspace(-8, 8, 17)])
 _EXTREME_SCALES = (1e-4, 1e-2, 1.0, 1e2, 1e4)
@@ -488,51 +513,79 @@ def _not_beaten_nearby(f, d):
             assert np.all(f(near) >= f0 - 1e-9 * np.abs(f0))
 
 
+def _root_within(h, d):
+    """The increasing stationarity function h changes sign across [d - t, d + t],
+    t = 4e-12*max(|d|, 1e-12): a root lies within t of d.  Returns the
+    indices where it does not."""
+    t = 4e-12 * np.maximum(np.abs(d), 1e-12)
+    with np.errstate(all="ignore"):
+        ok = (h(d - t) <= 0.0) & (h(d + t) >= 0.0)
+    return np.flatnonzero(~ok)
+
+
 def test_root_solved_kernel_rows_extreme_grid():
+    # every separable row, closed-form and root-solved: its value beats its
+    # neighbours and has a root of (d - lam)/g + phi'(d) + psi'(d) within t
     lam = _EXTREME_LAMS
     for g in _EXTREME_SCALES:
         for mu in _EXTREME_SCALES:
-            rows = [ScalarKernel(div, Penalty.schatten(mu, p))
-                    for div in (HS, BURG, SHANNON) for p in (1.3, 2.7)]
+            pens = [Penalty.none(), Penalty.nuclear(mu), Penalty.fro_squared(mu)]
+            pens += [Penalty.schatten(mu, p) for p in (1.0, 1.3, 4.0 / 3.0, 1.5, 2.0, 2.7, 3.0, 4.0)]
+            rows = [ScalarKernel(div, pen) for div in (HS, BURG, SHANNON) for pen in pens]
             rows += [ScalarKernel(div, Penalty.inv_schatten(mu, p))
                      for div in (HS, BURG) for p in (0.7, 2.2)]
-            rows += [ScalarKernel(Divergence.noisy_burg(0.3), pen)
-                     for pen in (Penalty.none(), Penalty.inv_schatten(mu, 1.0))]
+            rows += [ScalarKernel(Divergence.noisy_burg(s2), pen)
+                     for s2 in (0.0, 0.3) for pen in (Penalty.none(), Penalty.inv_schatten(mu, 1.0))]
             for k in rows:
                 d = kernel_prox_vec(k, g, lam)
                 assert np.all(np.isfinite(d)), (k, g)
+                kind, s2 = k.divergence.kind, k.divergence.sigma2
 
                 def f(x, k=k, g=g):
-                    kind, s2 = k.divergence.kind, k.divergence.sigma2
                     return 0.5 * (x - lam) ** 2 + g * (
                         phi_value(kind, s2, x) + psi_value(k.penalty, x)
                     )
 
+                def h(x, k=k, g=g):
+                    return (x - lam) / g + phi_slope(kind, s2, x) + psi_slope(k.penalty, x)
+
                 _not_beaten_nearby(f, d)
+                bad = _root_within(h, d)
+                assert bad.size == 0, (k, g, lam[bad], d[bad])
 
 
 def _bregman_value(div_kind, pen, d, y):
-    """psi(d) + D_phi(d, y) for a scalar anchor y > 0; +inf for d <= 0."""
+    """psi(d) + D_phi(d, y) for a scalar anchor y > 0; +inf outside the domain."""
     r = d / y
     if div_kind == "burg":
         # r - 1 - log r, without the cancellation of log1p near r = 0 or of log near r = 1
         div = (r - 1.0) - np.where(np.abs(r - 1.0) < 0.5, np.log1p(r - 1.0), np.log(r))
-    else:
-        div = d * np.log(r) - d + y
-    return np.where(d > 0, psi_value(pen, d) + div, np.inf)
+        return np.where(d > 0, psi_value(pen, d) + div, np.inf)
+    # Shannon: D(0, y) = y
+    div = np.where(d > 0, d * np.log(np.where(d > 0, r, 1.0)) - d + y, y)
+    return np.where(d >= 0, psi_value(pen, d) + div, np.inf)
 
 
 def test_root_solved_bregman_rows_extreme_grid():
+    # the closed-form and root-solved Burg and Shannon rows: the value beats
+    # its neighbours and has a root of phi'(d) + psi'(d) - phi'(y) within t
     ys = np.logspace(-8, 8, 17)
     for mu in _EXTREME_SCALES:
-        rows = [(BURG, Penalty.schatten(mu, p)) for p in (1.3, 2.7)]
+        pens = [Penalty.nuclear(mu), Penalty.fro_squared(mu)]
+        pens += [Penalty.schatten(mu, p) for p in (1.0, 1.3, 2.0, 2.7)]
+        rows = [(div, pen) for div in (BURG, SHANNON) for pen in pens]
         rows += [(BURG, Penalty.inv_schatten(mu, p)) for p in (0.7, 2.2)]
-        rows += [(SHANNON, Penalty.schatten(mu, p)) for p in (1.3, 2.7)]
         for div, pen in rows:
-            for y in ys:
-                d = np.array([bregman_prox(div, pen, np.array([[y]])).mat[0, 0]])
-                assert np.all(np.isfinite(d)), (div, pen, y)
-                _not_beaten_nearby(lambda x: _bregman_value(div.kind, pen, x, y), d)
+            d = np.array([bregman_prox(div, pen, np.array([[y]])).mat[0, 0] for y in ys])
+            assert np.all(np.isfinite(d)), (div, pen)
+            for i, y in enumerate(ys):
+                _not_beaten_nearby(lambda x: _bregman_value(div.kind, pen, x, y), d[i:i + 1])
+
+            def h(x, div=div, pen=pen):
+                return phi_slope(div.kind, 0.0, x) + psi_slope(pen, x) - phi_slope(div.kind, 0.0, ys)
+
+            bad = _root_within(h, d)
+            assert bad.size == 0, (div, pen, ys[bad], d[bad])
 
 
 # --- set-valued rows ---------------------------------------------------------
