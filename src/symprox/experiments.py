@@ -14,6 +14,7 @@ import numpy as np
 from .errors import InvalidInputError, NumericError
 from .symlin import (
     SymMatrix,
+    _recompose_raw,
     as_sym,
     atomic_write_text,
     format_float,
@@ -171,8 +172,7 @@ def clipped_raw_estimator(s, sigma):
     no-regularization reference the solvers must beat."""
     s = as_sym(s)
     w, v = np.linalg.eigh(s.mat - sigma * sigma * np.eye(s.n))
-    out = (v * np.maximum(w, 0.0)) @ v.T
-    return SymMatrix(0.5 * (out + out.T), strict=False)
+    return SymMatrix(_recompose_raw(v, np.maximum(w, 0.0)), strict=False)
 
 
 def write_dataset(ds, dirpath, extra=None):

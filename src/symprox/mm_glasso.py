@@ -20,9 +20,7 @@ import numpy as np
 from .errors import DomainError, InvalidInputError, NumericError
 from .scalarprox import Divergence, Penalty, _phi_sum, _psi_sum
 from .splitting import DRConfig, ObjectiveSpec, SolveReport, dr_solve
-from .symlin import SymMatrix, as_sym, inner, spd_inverse
-
-_PSD_SLACK = 1e-10
+from .symlin import SymMatrix, _psd_ok, _recompose_raw, as_sym, inner, spd_inverse
 
 
 @dataclass(frozen=True)
@@ -40,13 +38,12 @@ class NoisyGlassoProblem:
             raise InvalidInputError("sigma2, mu0, mu1 must be nonnegative")
         s = as_sym(self.s)
         w, v = np.linalg.eigh(s.mat)
-        if w[0] < -_PSD_SLACK:
+        if not _psd_ok(w):
             raise DomainError(
                 f"data matrix must be PSD (smallest eigenvalue {w[0]:.3e})"
             )
         if w[0] < 0:
-            clipped = (v * np.maximum(w, 0.0)) @ v.T
-            s = SymMatrix(0.5 * (clipped + clipped.T), strict=False)
+            s = SymMatrix(_recompose_raw(v, np.maximum(w, 0.0)), strict=False)
         object.__setattr__(self, "s", s)
 
     @property
@@ -85,7 +82,7 @@ class MMReport:
 def _psd_eigs(c):
     c = as_sym(c)
     lam = np.linalg.eigvalsh(c.mat)
-    if lam[0] < -_PSD_SLACK * max(1.0, abs(lam[-1])):
+    if not _psd_ok(lam):
         raise DomainError(f"matrix must be PSD (smallest eigenvalue {lam[0]:.3e})")
     return c, lam
 

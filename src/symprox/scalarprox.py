@@ -19,25 +19,26 @@ import numpy as np
 from .errors import BracketingError, ConfigurationError, DomainError, NumericError
 
 _DIV_KINDS = ("half_square", "burg", "shannon", "noisy_burg")
-_PEN_KINDS = (
-    "none",
-    "nuclear",
-    "fro_norm",
-    "fro_squared",
-    "schatten",
-    "inv_schatten",
-    "fro_ball",
-    "eig_box",
-    "rank",
-    "cauchy",
-    "spectral_norm",
-)
+# The parameters each penalty kind takes; a kind that takes mu needs mu > 0.
+_PEN_PARAMS = {
+    "none": (),
+    "nuclear": ("mu",),
+    "fro_norm": ("mu",),
+    "fro_squared": ("mu",),
+    "schatten": ("mu", "p"),
+    "inv_schatten": ("mu", "p"),
+    "fro_ball": ("alpha",),
+    "eig_box": ("alpha", "beta"),
+    "rank": ("mu",),
+    "cauchy": ("mu", "eps"),
+    "spectral_norm": ("mu",),
+}
 # Divergences whose domain forces nonnegative eigenvalues.
 _NONNEG_DIVS = frozenset({"burg", "shannon", "noisy_burg"})
 
 # Supported (divergence, penalty) pairings.
 _SUPPORTED = {
-    "half_square": frozenset(_PEN_KINDS),
+    "half_square": frozenset(_PEN_PARAMS),
     "burg": frozenset(
         {"none", "nuclear", "fro_squared", "schatten", "inv_schatten", "eig_box", "cauchy"}
     ),
@@ -99,10 +100,9 @@ class Penalty:
 
     def __post_init__(self):
         k = self.kind
-        if k not in _PEN_KINDS:
+        if k not in _PEN_PARAMS:
             raise ConfigurationError(f"unknown penalty '{k}'")
-        if k in ("nuclear", "fro_norm", "fro_squared", "rank", "spectral_norm",
-                 "schatten", "inv_schatten", "cauchy") and not self.mu > 0:
+        if "mu" in _PEN_PARAMS[k] and not self.mu > 0:
             raise ConfigurationError(f"penalty '{k}' requires weight mu > 0")
         if k == "schatten" and not self.p >= 1:
             raise ConfigurationError("schatten penalty requires p >= 1")
@@ -466,7 +466,7 @@ def kernel_eval_vec(k, lam):
 
 def _burg_root(b, c):
     """The positive root of d^2 - b d - c (c > 0), without cancellation."""
-    s = np.sqrt(b * b + 4.0 * c)
+    s = np.hypot(b, 2.0 * np.sqrt(c))  # sqrt(b^2 + 4c) without overflow
     return np.where(b >= 0.0, 0.5 * (b + s), 2.0 * c / (s + np.abs(b)))
 
 
@@ -631,33 +631,11 @@ def kernel_prox_vec(k, gamma, lam):
 # kernel mini-grammar
 
 
-_DIV_NAMES = {
-    "half_square": "half_square",
-    "halfsquare": "half_square",
-    "hs": "half_square",
-    "burg": "burg",
-    "shannon": "shannon",
-    "noisy_burg": "noisy_burg",
-    "noisyburg": "noisy_burg",
-}
-_PEN_NAMES = {
-    "none": "none",
-    "nuclear": "nuclear",
-    "fro_norm": "fro_norm",
-    "fro": "fro_norm",
-    "fro_squared": "fro_squared",
-    "frosq": "fro_squared",
-    "schatten": "schatten",
-    "inv_schatten": "inv_schatten",
-    "invschatten": "inv_schatten",
-    "fro_ball": "fro_ball",
-    "froball": "fro_ball",
-    "eig_box": "eig_box",
-    "eigbox": "eig_box",
-    "rank": "rank",
-    "cauchy": "cauchy",
-    "spectral_norm": "spectral_norm",
-    "spectral": "spectral_norm",
+# Short spellings of divergence and penalty kinds; a kind's own name also parses.
+_ALIASES = {
+    "hs": "half_square", "halfsquare": "half_square", "noisyburg": "noisy_burg",
+    "fro": "fro_norm", "frosq": "fro_squared", "invschatten": "inv_schatten",
+    "froball": "fro_ball", "eigbox": "eig_box", "spectral": "spectral_norm",
 }
 _NUM_KEYS = ("mu", "p", "eps", "alpha", "beta", "sigma2")
 
@@ -683,28 +661,15 @@ def parse_kernel(text):
                     f"kernel spec key '{key}' has non-numeric value '{kv[key]}'"
                 ) from None
     dname = kv.get("divergence", "half_square").lower()
-    if dname not in _DIV_NAMES:
+    dkind = _ALIASES.get(dname, dname)
+    if dkind not in _DIV_KINDS:
         raise ConfigurationError(f"unknown value for key 'divergence': '{dname}'")
-    dkind = _DIV_NAMES[dname]
-    div = (
-        Divergence.noisy_burg(nums.get("sigma2", 0.0))
-        if dkind == "noisy_burg"
-        else Divergence(dkind)
-    )
+    div = Divergence(dkind, nums.get("sigma2", 0.0) if dkind == "noisy_burg" else 0.0)
     pname = kv.get("penalty", "none").lower()
-    if pname not in _PEN_NAMES:
+    pkind = _ALIASES.get(pname, pname)
+    if pkind not in _PEN_PARAMS:
         raise ConfigurationError(f"unknown value for key 'penalty': '{pname}'")
-    pkind = _PEN_NAMES[pname]
-    if pkind == "none":
-        pen = Penalty.none()
-    elif pkind in ("nuclear", "fro_norm", "fro_squared", "rank", "spectral_norm"):
-        pen = Penalty(pkind, mu=nums.get("mu", 0.0))
-    elif pkind in ("schatten", "inv_schatten"):
-        pen = Penalty(pkind, mu=nums.get("mu", 0.0), p=nums.get("p", 0.0))
-    elif pkind == "fro_ball":
-        pen = Penalty.fro_ball(nums.get("alpha", 0.0))
-    elif pkind == "eig_box":
-        pen = Penalty.eig_box(nums.get("alpha", -math.inf), nums.get("beta", math.inf))
-    else:
-        pen = Penalty.cauchy(nums.get("mu", 0.0), nums.get("eps", 0.0))
+    if pkind == "eig_box":  # a bound left out is unbounded; any other parameter is 0
+        nums = {"alpha": -math.inf, "beta": math.inf, **nums}
+    pen = Penalty(pkind, **{key: nums.get(key, 0.0) for key in _PEN_PARAMS[pkind]})
     return ScalarKernel(div, pen)

@@ -18,9 +18,7 @@ import numpy as np
 
 from .errors import ConfigurationError, InvalidInputError
 from .scalarprox import Divergence, Penalty, ScalarKernel, _phi_sum, _psi_sum, kernel_prox_vec, soft
-from .symlin import SymMatrix, _eigh_desc, _recompose_raw, as_sym, atomic_write_text, format_float
-
-_PSD_EVAL_SLACK = 1e-10
+from .symlin import SymMatrix, _eigh_desc, _psd_ok, _recompose_raw, as_sym, atomic_write_text, format_float
 
 
 @dataclass(frozen=True)
@@ -100,7 +98,7 @@ def objective_eval(spec, c):
     """
     c = as_sym(c)
     lam = np.linalg.eigvalsh(c.mat)
-    if spec.psd and lam[0] < -_PSD_EVAL_SLACK * max(1.0, abs(lam[-1])):
+    if spec.psd and not _psd_ok(lam):
         return math.inf
     return _objective_from_d(spec, lam, c.mat)
 

@@ -14,6 +14,7 @@ import numpy as np
 from .errors import ConditioningError, InvalidInputError
 
 _STRICT_ASYM_TOL = 1e-8
+_PSD_SLACK = 1e-10
 
 
 class SymMatrix:
@@ -93,6 +94,12 @@ def eig_sym(a):
     a = as_sym(a)
     u, lam = _eigh_desc(a.mat)
     return EigenDecomp(u=u, lam=lam)
+
+
+def _psd_ok(w):
+    """Whether ascending eigenvalues w are those of a PSD matrix up to the
+    dust an eigensolve leaves: w[0] >= -1e-10 * max(1, |w[-1]|)."""
+    return not w[0] < -_PSD_SLACK * max(1.0, abs(w[-1]))
 
 
 def _recompose_raw(u, lam):

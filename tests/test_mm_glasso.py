@@ -290,6 +290,15 @@ def test_problem_validation():
     s = np.diag([1.0, -1e-12])
     prob = NoisyGlassoProblem(s=SymMatrix(s, strict=False), sigma2=0.0)
     assert np.linalg.eigvalsh(prob.s.mat)[0] >= 0.0
+    # the dust bound is relative to the largest eigenvalue: a rank-50 sample
+    # covariance at scale 1e6 has dust near -1e-9 and is clipped, not rejected
+    x = 1e3 * np.random.default_rng(0).standard_normal((50, 100))
+    s = SymMatrix(x.T @ x / 50, strict=False)
+    w, v = np.linalg.eigh(s.mat)
+    assert w[0] < -1e-10 and w[-1] > 1e6
+    prob = NoisyGlassoProblem(s=s, sigma2=0.0)
+    clipped = (v * np.maximum(w, 0.0)) @ v.T
+    np.testing.assert_array_equal(prob.s.mat, 0.5 * (clipped + clipped.T))
 
 
 def test_glasso_solve_beats_start():

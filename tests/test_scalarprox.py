@@ -588,6 +588,28 @@ def test_root_solved_bregman_rows_extreme_grid():
             assert bad.size == 0, (div, pen, ys[bad], d[bad])
 
 
+def test_burg_closed_forms_at_huge_eigenvalues():
+    # each row reads the positive root of d^2 - b d - c, which is b + c/b + ...
+    # for b > 0 and c/|b| - c^2/|b|^3 + ... for b < 0; at |b| >= 1e150 the
+    # corrections are below 1e-290 relative
+    lam = np.array([s * m for m in (1e154, 1e200, 1e300) for s in (-1.0, 1.0)])
+    mu = 0.3
+    for g in (1e-4, 1.0, 1e4):
+        q = 1.0 + 2.0 * g * mu
+        rows = [
+            (ScalarKernel(BURG, Penalty.none()), lam, g),
+            (ScalarKernel(BURG, Penalty.nuclear(mu)), lam - g * mu, g),
+            (ScalarKernel(BURG, Penalty.fro_squared(mu)), lam / q, g / q),
+            (ScalarKernel(BURG, Penalty.eig_box(-math.inf, math.inf)), lam, g),
+            (ScalarKernel(Divergence.noisy_burg(0.0), Penalty.none()), lam, g),
+        ]
+        for k, b, c in rows:
+            d = kernel_prox_vec(k, g, lam)
+            assert np.all(np.isfinite(d) & (d > 0.0)), (k, g, d)
+            expect = np.where(b > 0.0, b, c / np.abs(b))
+            np.testing.assert_allclose(d, expect, rtol=1e-15, atol=0.0, err_msg=f"{k} g={g}")
+
+
 # --- set-valued rows ---------------------------------------------------------
 
 
@@ -704,6 +726,56 @@ def test_parse_kernel():
     assert k.divergence.sigma2 == 0.3
 
 
+# Every spelling of each kind, written out by hand, and the kernel that the
+# spec below must build with it.
+_SPEC_PARAMS = "mu=0.3 p=1.5 eps=0.1 alpha=0.5 beta=2 sigma2=0.25"
+_DIV_SPELLINGS = [
+    (("half_square", "halfsquare", "hs"), Divergence.half_square()),
+    (("burg",), Divergence.burg()),
+    (("shannon",), Divergence.shannon()),
+    (("noisy_burg", "noisyburg"), Divergence.noisy_burg(0.25)),
+]
+_PEN_SPELLINGS = [
+    (("none",), Penalty.none()),
+    (("nuclear",), Penalty.nuclear(0.3)),
+    (("fro_norm", "fro"), Penalty.fro_norm(0.3)),
+    (("fro_squared", "frosq"), Penalty.fro_squared(0.3)),
+    (("schatten",), Penalty.schatten(0.3, 1.5)),
+    (("inv_schatten", "invschatten"), Penalty.inv_schatten(0.3, 1.5)),
+    (("fro_ball", "froball"), Penalty.fro_ball(0.5)),
+    (("eig_box", "eigbox"), Penalty.eig_box(0.5, 2.0)),
+    (("rank",), Penalty.rank(0.3)),
+    (("cauchy",), Penalty.cauchy(0.3, 0.1)),
+    (("spectral_norm", "spectral"), Penalty.spectral_norm(0.3)),
+]
+
+
+def test_parse_kernel_every_name_and_alias():
+    # parameters a kind does not take, sigma2 included, are ignored
+    for names, div in _DIV_SPELLINGS:
+        for name in names + tuple(nm.upper() for nm in names):
+            k = parse_kernel(f"divergence={name} penalty=none {_SPEC_PARAMS}")
+            assert k == ScalarKernel(div, Penalty.none()), name
+    for names, pen in _PEN_SPELLINGS:
+        for name in names + tuple(nm.upper() for nm in names):
+            k = parse_kernel(f"divergence=hs penalty={name} {_SPEC_PARAMS}")
+            assert k == ScalarKernel(HS, pen), name
+
+
+def test_parse_kernel_defaults():
+    assert parse_kernel("") == ScalarKernel(HS, Penalty.none())
+    assert parse_kernel("divergence=noisy_burg") == ScalarKernel(
+        Divergence.noisy_burg(0.0), Penalty.none()
+    )
+    assert parse_kernel("penalty=eig_box").penalty == Penalty.eig_box(-math.inf, math.inf)
+    assert parse_kernel("penalty=eigbox alpha=1").penalty == Penalty.eig_box(1.0, math.inf)
+    assert parse_kernel("penalty=eig_box beta=-1").penalty == Penalty.eig_box(-math.inf, -1.0)
+    assert parse_kernel("divergence=burg penalty=eig_box").penalty == Penalty.eig_box(0.0, math.inf)
+    assert parse_kernel("penalty=fro_ball").penalty == Penalty.fro_ball(0.0)
+    with pytest.raises(ConfigurationError, match="mu > 0"):
+        parse_kernel("penalty=nuclear")
+
+
 def test_parse_kernel_names_offending_key():
     with pytest.raises(ConfigurationError, match="frobnicate"):
         parse_kernel("divergence=burg frobnicate=1")
@@ -711,6 +783,13 @@ def test_parse_kernel_names_offending_key():
         parse_kernel("penalty=nuclear mu=abc")
     with pytest.raises(ConfigurationError, match="penalty"):
         parse_kernel("penalty=unknown_thing")
+    # an alias names a kind of its own key only
+    with pytest.raises(ConfigurationError, match="'divergence': 'fro'"):
+        parse_kernel("divergence=fro")
+    with pytest.raises(ConfigurationError, match="'penalty': 'hs'"):
+        parse_kernel("penalty=hs")
+    with pytest.raises(ConfigurationError, match="'divergence': 'frobenius'"):
+        parse_kernel("divergence=Frobenius")
 
 
 def test_vector_kernels_match_scalar_on_singletons():
