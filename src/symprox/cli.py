@@ -42,8 +42,11 @@ from .symlin import (
     atomic_write_text,
     format_float,
     fro_norm,
+    read_kv,
     read_matrix_csv,
     spd_inverse,
+    write_csv,
+    write_kv,
     write_matrix_csv,
 )
 
@@ -105,25 +108,12 @@ _HELP = {
     "reps": "replications per sigma",
     "method": "comma-separated subset of mm,glasso,dr-noisy",
     "wall_times": "record wall-clock seconds (breaks byte-determinism of results.csv)",
+    "n": "matrix dimension (cov: the sum of 'blocks')",
+    "nsamples": "number of samples (gen and solve-cov default: 1000 for glasso, n for cov)",
+    "outer_eps": "MM relative-objective tolerance",
+    "outer_max": "MM outer-step cap",
+    "support_tol": "magnitude above which an estimate entry counts as nonzero",
 }
-
-
-def _parse_config_file(path):
-    if not os.path.exists(path):
-        raise ConfigurationError(f"config file not found: {path}")
-    out = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigurationError(
-                    f"{path}:{lineno}: expected key=value, got '{line}'"
-                )
-            k, v = line.split("=", 1)
-            out[k.strip().replace("-", "_")] = v.strip()
-    return out
 
 
 def _coerce(key, value):
@@ -145,7 +135,9 @@ def _coerce(key, value):
 
 def _effective(cmd, args):
     """Merge CLI flags, config file, and defaults for one subcommand."""
-    cfgfile = _parse_config_file(args.config) if args.config else {}
+    if args.config and not os.path.exists(args.config):
+        raise ConfigurationError(f"config file not found: {args.config}")
+    cfgfile = read_kv(args.config) if args.config else {}
     defaults = _DEFAULTS[cmd]
     for key in cfgfile:
         if key not in defaults:
@@ -164,13 +156,7 @@ def _effective(cmd, args):
 
 def _echo_config(eff, outdir):
     os.makedirs(outdir, exist_ok=True)
-    lines = []
-    for k in sorted(eff):
-        v = eff[k]
-        if isinstance(v, float):
-            v = format_float(v)
-        lines.append(f"{k}={v}")
-    atomic_write_text(os.path.join(outdir, "effective-config.txt"), "\n".join(lines) + "\n")
+    write_kv(os.path.join(outdir, "effective-config.txt"), eff)
 
 
 def _sigma_list(text):
@@ -215,30 +201,31 @@ def _make_cov_dataset(eff):
     return ds, None, extra
 
 
-def _make_glasso_dataset(eff):
+def _check_glasso_keys(eff):
     if not 0.0 < eff["p"] < 1.0:
         raise ConfigurationError(f"key 'p' must lie in (0, 1), got {eff['p']}")
     if eff["n"] < 1:
         raise ConfigurationError("key 'n' must be at least 1")
     _check_nsamples(eff)
+
+
+def _make_glasso_dataset(eff):
+    _check_glasso_keys(eff)
     sigma = _sigma_list(eff["sigma"])[0]
     c_star = gen_sparse_precision(eff["n"], eff["p"], eff["seed"])
     y_star = spd_inverse(c_star)
     n_samples = eff["nsamples"] if eff["nsamples"] else 1000
     ds = sample_gaussian(y_star, sigma, n_samples, eff["seed"] + 1)
-    extra = {"generator": "sparse_precision", "p": format_float(eff["p"])}
+    extra = {"generator": "sparse_precision", "p": eff["p"]}
     return ds, c_star, extra
 
 
 def _load_or_make(eff, maker):
-    if eff.get("data"):
-        ds, meta = read_dataset(eff["data"])
-        c_star = None
-        c_star_path = os.path.join(eff["data"], "c_star.csv")
-        if os.path.exists(c_star_path):
-            c_star = read_matrix_csv(c_star_path)
-        return ds, c_star, meta
-    return maker(eff)
+    if not eff.get("data"):
+        return maker(eff)
+    ds, meta = read_dataset(eff["data"])
+    c_star_path = os.path.join(eff["data"], "c_star.csv")
+    return ds, read_matrix_csv(c_star_path) if os.path.exists(c_star_path) else None, meta
 
 
 def _dr_config(eff):
@@ -247,6 +234,18 @@ def _dr_config(eff):
 
 def _mm_config(eff):
     return MMConfig(inner=_dr_config(eff), outer_eps=eff["outer_eps"], outer_max=eff["outer_max"])
+
+
+def _write_run(eff, rep, inner, line):
+    """Write a solve's run directory and print its metrics line; exit 4 on max_iter."""
+    outdir = eff["out"]
+    _echo_config(eff, outdir)
+    write_matrix_csv(rep.c_final, os.path.join(outdir, "estimate.csv"))
+    write_matrix_csv(rep.c_sparse, os.path.join(outdir, "estimate_sparse.csv"))
+    write_trace_csv(inner, os.path.join(outdir, "trace.csv"))
+    print(line)
+    atomic_write_text(os.path.join(outdir, "metrics.txt"), line + "\n")
+    return 4 if rep.stop_reason == "max_iter" else 0
 
 
 def _precision_rmse(c_final, y_star):
@@ -318,20 +317,13 @@ def _cmd_solve_cov(eff):
     )
     c0 = SymMatrix(s.mat + np.eye(n), strict=False)
     rep = dr_solve(spec, _dr_config(eff), c0)
-    outdir = eff["out"]
-    _echo_config(eff, outdir)
-    write_matrix_csv(rep.c_final, os.path.join(outdir, "estimate.csv"))
-    write_matrix_csv(rep.c_sparse, os.path.join(outdir, "estimate_sparse.csv"))
-    write_trace_csv(rep, os.path.join(outdir, "trace.csv"))
     m = metrics(rep.c_sparse, ds.y_star, support_tol=eff["support_tol"])
     raw = metrics(clipped_raw_estimator(s, sigma), ds.y_star, support_tol=eff["support_tol"])
     line = (
         f"tpr={format_float(m.tpr)} fpr={format_float(m.fpr)} rmse={format_float(m.rmse)} "
         f"raw_rmse={format_float(raw.rmse)} iterations={rep.iterations} stop={rep.stop_reason}"
     )
-    print(line)
-    atomic_write_text(os.path.join(outdir, "metrics.txt"), line + "\n")
-    return 4 if rep.stop_reason == "max_iter" else 0
+    return _write_run(eff, rep, rep, line)
 
 
 def _cmd_solve_glasso(eff):
@@ -340,15 +332,6 @@ def _cmd_solve_glasso(eff):
     s = empirical_cov(ds)
     prob = NoisyGlassoProblem(s=s, sigma2=sigma * sigma, mu0=eff["mu0"], mu1=eff["mu1"])
     rep = mm_solve(prob, _mm_config(eff))
-    outdir = eff["out"]
-    _echo_config(eff, outdir)
-    write_matrix_csv(rep.c_final, os.path.join(outdir, "estimate.csv"))
-    write_matrix_csv(rep.c_sparse, os.path.join(outdir, "estimate_sparse.csv"))
-    write_trace_csv(rep.last_inner, os.path.join(outdir, "trace.csv"))
-    outer_lines = ["outer_iteration,objective"] + [
-        f"{i},{format_float(v)}" for i, v in enumerate(rep.outer_objectives)
-    ]
-    atomic_write_text(os.path.join(outdir, "outer_trace.csv"), "\n".join(outer_lines) + "\n")
     parts = [
         f"outer_iterations={rep.outer_iterations}",
         f"inner_iterations={sum(rep.inner_iterations)}",
@@ -363,10 +346,10 @@ def _cmd_solve_glasso(eff):
             f"fpr={format_float(m.fpr)}",
             f"rmse={format_float(rmse)}",
         ] + parts
-    line = " ".join(parts)
-    print(line)
-    atomic_write_text(os.path.join(outdir, "metrics.txt"), line + "\n")
-    return 4 if rep.stop_reason == "max_iter" else 0
+    rc = _write_run(eff, rep, rep.last_inner, " ".join(parts))
+    write_csv(os.path.join(eff["out"], "outer_trace.csv"), enumerate(rep.outer_objectives),
+              header=("outer_iteration", "objective"))
+    return rc
 
 
 _METHODS = ("mm", "glasso", "dr-noisy")
@@ -402,16 +385,16 @@ def _cmd_bench(eff):
     if not eff["reps"] >= 1:
         raise ConfigurationError("key 'reps' must be at least 1")
 
+    _check_glasso_keys(eff)
     c_star = gen_sparse_precision(eff["n"], eff["p"], eff["seed"])
     y_star = spd_inverse(c_star)
-    n_samples = eff["nsamples"] if eff["nsamples"] else 1000
 
     rows = []
     for method in methods:
         for sigma in sigmas:
             for rep_i in range(eff["reps"]):
                 sample_seed = eff["seed"] + 7919 * (rep_i + 1)
-                ds = sample_gaussian(y_star, sigma, n_samples, sample_seed)
+                ds = sample_gaussian(y_star, sigma, eff["nsamples"], sample_seed)
                 s = empirical_cov(ds)
                 t0 = time.perf_counter()
                 rmse, tpr, fpr, iters = _bench_one(method, s, sigma, c_star, y_star, eff)
@@ -420,25 +403,15 @@ def _cmd_bench(eff):
 
     outdir = eff["out"]
     _echo_config(eff, outdir)
-    lines = ["method,sigma,seed,rmse,tpr,fpr,iterations,seconds"]
-    for method, sigma, seed, rmse, tpr, fpr, iters, secs in rows:
-        lines.append(
-            f"{method},{format_float(sigma)},{seed},{format_float(rmse)},"
-            f"{format_float(tpr)},{format_float(fpr)},{iters},{format_float(secs)}"
-        )
-    atomic_write_text(os.path.join(outdir, "results.csv"), "\n".join(lines) + "\n")
-
-    agg_lines = ["method,sigma,mean_rmse,mean_tpr,mean_fpr,mean_iterations"]
+    write_csv(os.path.join(outdir, "results.csv"), rows,
+              header=("method", "sigma", "seed", "rmse", "tpr", "fpr", "iterations", "seconds"))
+    agg = []
     for method in methods:
         for sigma in sigmas:
-            cell = [r for r in rows if r[0] == method and r[1] == sigma]
-            arr = np.array([(r[3], r[4], r[5], r[6]) for r in cell])
-            mean = arr.mean(axis=0)
-            agg_lines.append(
-                f"{method},{format_float(sigma)},{format_float(mean[0])},"
-                f"{format_float(mean[1])},{format_float(mean[2])},{format_float(mean[3])}"
-            )
-    atomic_write_text(os.path.join(outdir, "aggregate.csv"), "\n".join(agg_lines) + "\n")
+            cell = [r[3:7] for r in rows if r[0] == method and r[1] == sigma]
+            agg.append((method, sigma, *np.mean(cell, axis=0)))
+    write_csv(os.path.join(outdir, "aggregate.csv"), agg,
+              header=("method", "sigma", "mean_rmse", "mean_tpr", "mean_fpr", "mean_iterations"))
     print(f"wrote {len(rows)} rows to {os.path.join(outdir, 'results.csv')}")
     return 0
 

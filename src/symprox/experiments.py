@@ -16,9 +16,11 @@ from .symlin import (
     SymMatrix,
     _recompose_raw,
     as_sym,
-    atomic_write_text,
-    format_float,
+    read_csv,
+    read_kv,
     read_matrix_csv,
+    write_csv,
+    write_kv,
     write_matrix_csv,
 )
 
@@ -179,41 +181,23 @@ def write_dataset(ds, dirpath, extra=None):
     """Write y_star.csv, samples.csv, and a key=value metadata sidecar."""
     os.makedirs(dirpath, exist_ok=True)
     write_matrix_csv(ds.y_star, os.path.join(dirpath, "y_star.csv"))
-    lines = [",".join(format_float(x) for x in row) for row in ds.samples]
-    atomic_write_text(os.path.join(dirpath, "samples.csv"), "\n".join(lines) + "\n")
-    meta = {
-        "seed": str(ds.seed),
-        "sigma": format_float(ds.sigma),
-        "n": str(ds.y_star.n),
-        "n_samples": str(ds.samples.shape[0]),
-    }
-    if extra:
-        meta.update({k: str(v) for k, v in extra.items()})
-    text = "".join(f"{k}={v}\n" for k, v in sorted(meta.items()))
-    atomic_write_text(os.path.join(dirpath, "meta.txt"), text)
+    write_csv(os.path.join(dirpath, "samples.csv"), ds.samples)
+    meta = {"seed": ds.seed, "sigma": ds.sigma, "n": ds.y_star.n, "n_samples": ds.samples.shape[0]}
+    write_kv(os.path.join(dirpath, "meta.txt"), {**meta, **(extra or {})})
 
 
 def read_dataset(dirpath):
     """Read a dataset directory back; returns (Dataset, metadata dict)."""
-    meta = {}
-    with open(os.path.join(dirpath, "meta.txt")) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            k, _, v = line.partition("=")
-            meta[k.strip()] = v.strip()
+    meta_path, samples_path = (os.path.join(dirpath, f) for f in ("meta.txt", "samples.csv"))
+    meta = read_kv(meta_path)
     y_star = read_matrix_csv(os.path.join(dirpath, "y_star.csv"))
-    rows = []
-    with open(os.path.join(dirpath, "samples.csv")) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                rows.append([float(tok) for tok in line.split(",")])
-    ds = Dataset(
-        y_star=y_star,
-        samples=np.array(rows),
-        seed=int(meta.get("seed", "0")),
-        sigma=float(meta.get("sigma", "0")),
-    )
-    return ds, meta
+    samples = read_csv(samples_path)
+    if samples.shape[1] != y_star.n:
+        raise InvalidInputError(
+            f"{samples_path}: {samples.shape[1]} columns, but y_star is {y_star.n}x{y_star.n}"
+        )
+    try:
+        seed, sigma = int(meta.get("seed", "0")), float(meta.get("sigma", "0"))
+    except ValueError as exc:
+        raise InvalidInputError(f"{meta_path}: {exc}") from None
+    return Dataset(y_star=y_star, samples=samples, seed=seed, sigma=sigma), meta

@@ -528,7 +528,14 @@ def _cauchy_scored(k, g, lam):
     # near-double real roots can come back as a pair with a tiny imaginary part
     real = np.abs(roots.imag) <= 1e-6 * np.maximum(1.0, np.abs(roots.real))
     d = np.where(real, roots.real, np.nan)
+    # companion eigenvalues carry an absolute error of about eps*|lam|, which
+    # swamps a root near g/|lam|: polish each by Newton steps, kept where |p| drops
+    p = np.stack(np.broadcast_arrays(*coefs))[:, :, None]
+    dp = p[:-1] * np.arange(deg, 0, -1)[:, None, None]
     with np.errstate(all="ignore"):
+        for _ in range(2):
+            dn = d - np.polyval(p, d) / np.polyval(dp, d)
+            d = np.where(np.abs(np.polyval(p, dn)) < np.abs(np.polyval(p, d)), dn, d)
         if hs:
             d = np.concatenate([np.zeros((lam.size, 1)), d], axis=1)
             phi = 0.5 * (d * d)

@@ -11,6 +11,7 @@ C^(k+1/2), which is the sequence that converges to a solution; the run
 stops when its relative change drops below the tolerance.
 """
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -18,7 +19,7 @@ import numpy as np
 
 from .errors import ConfigurationError, InvalidInputError
 from .scalarprox import Divergence, Penalty, ScalarKernel, _phi_sum, _psi_sum, kernel_prox_vec, soft
-from .symlin import SymMatrix, _eigh_desc, _psd_ok, _recompose_raw, as_sym, atomic_write_text, format_float
+from .symlin import SymMatrix, _eigh_desc, _psd_ok, _recompose_raw, as_sym, format_float, write_csv
 
 
 @dataclass(frozen=True)
@@ -177,12 +178,8 @@ def dr_solve(spec, cfg, c0, check_start=True):
 
 def write_trace_csv(report, path):
     """Serialize (iteration, objective, residual) rows."""
-    lines = ["iteration,objective,residual"]
-    for i, (f, r) in enumerate(
-        zip(report.objective_trace, report.fixed_point_residuals), start=1
-    ):
-        lines.append(f"{i},{format_float(f)},{format_float(r)}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    rows = zip(itertools.count(1), report.objective_trace, report.fixed_point_residuals)
+    write_csv(path, rows, header=("iteration", "objective", "residual"))
 
 
 def format_summary(report):

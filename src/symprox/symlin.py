@@ -2,7 +2,8 @@
 
 All solvers in this package reduce matrix operations to eigenvalue
 manipulations of real symmetric matrices; this module is the single home
-for those primitives and for the matrix CSV interchange format.
+for those primitives and for the two text formats, numeric CSV tables and
+sorted key=value files.
 """
 
 import os
@@ -11,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConditioningError, InvalidInputError
+from .errors import ConditioningError, ConfigurationError, InvalidInputError
 
 _STRICT_ASYM_TOL = 1e-8
 _PSD_SLACK = 1e-10
@@ -167,27 +168,64 @@ def format_float(x):
     return f"{float(x):.17g}"
 
 
+def _cell(x):
+    return format_float(x) if isinstance(x, float) or isinstance(x, np.floating) else str(x)
+
+
+def write_csv(path, rows, header=None):
+    """Write a table as comma-separated lines, after an optional header row
+    of column names: floats (numpy's included) with format_float, any other
+    cell with str."""
+    lines = [] if header is None else [",".join(header)]
+    # Python floats format faster than numpy scalars
+    rows = rows.tolist() if isinstance(rows, np.ndarray) else rows
+    lines += [",".join(map(_cell, row)) for row in rows]
+    atomic_write_text(path, "\n".join(lines) + "\n")
+
+
+def read_csv(path):
+    """Read a numeric table as a 2-d float array, skipping blank lines."""
+    rows = []
+    with open(path) as fh:
+        for lineno, line in enumerate(map(str.strip, fh), start=1):
+            try:
+                if line:
+                    rows.append([float(tok) for tok in line.split(",")])
+            except ValueError as exc:
+                raise InvalidInputError(f"{path}:{lineno}: {exc}") from None
+    if not rows or any(len(r) != len(rows[0]) for r in rows):
+        raise InvalidInputError(f"{path}: rows are empty or of unequal length")
+    return np.array(rows)
+
+
+def write_kv(path, mapping):
+    """Write sorted key=value lines, values formatted as write_csv's cells."""
+    atomic_write_text(path, "".join(f"{k}={_cell(v)}\n" for k, v in sorted(mapping.items())))
+
+
+def read_kv(path):
+    """Read key=value lines into a dict of strings.  '#' starts a comment
+    and dashes in keys read as underscores."""
+    out = {}
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            k, eq, v = line.split("#", 1)[0].strip().partition("=")
+            if eq:
+                out[k.strip().replace("-", "_")] = v.strip()
+            elif k:
+                raise ConfigurationError(f"{path}:{lineno}: expected key=value, got '{k}'")
+    return out
+
+
 def write_matrix_csv(a, path):
     """Write a matrix as n lines of n comma-separated decimals."""
-    mat = as_sym(a).mat
-    lines = [",".join(format_float(x) for x in row) for row in mat]
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    write_csv(path, as_sym(a).mat)
 
 
 def read_matrix_csv(path, strict=False):
     """Read a matrix CSV; the result is symmetrized and the asymmetry
     residual is recorded on the returned SymMatrix."""
-    rows = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rows.append([float(tok) for tok in line.split(",")])
-            except ValueError as exc:
-                raise InvalidInputError(f"bad matrix entry in {path}: {exc}") from exc
-    n = len(rows)
-    if n == 0 or any(len(r) != n for r in rows):
+    m = read_csv(path)
+    if m.shape[0] != m.shape[1]:
         raise InvalidInputError(f"matrix in {path} is not square")
-    return SymMatrix(np.array(rows), strict=strict)
+    return SymMatrix(m, strict=strict)

@@ -1,8 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
 from symprox import read_matrix_csv, write_matrix_csv
-from symprox.cli import _DEFAULTS, _build_parser, _effective, main
+from symprox.cli import _DEFAULTS, _HELP, _build_parser, _effective, main
 
 
 def run(argv):
@@ -219,6 +221,18 @@ def test_bench_unknown_method_exit2(tmp_path, capsys):
     assert "turbo" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--nsamples", "0", "key 'nsamples' must be at least 1"),
+    ("--p", "1.5", "key 'p' must lie in (0, 1)"),
+])
+def test_bench_checks_data_keys_as_solve_glasso_does_exit2(tmp_path, capsys, flag, value, message):
+    small = ["--n", "10", "--p", "0.05", "--sigma", "0.2", "--max-iter", "50"]
+    for argv in (["bench", "--reps", "1", "--method", "glasso"], ["solve-glasso"]):
+        rc = run([*argv, *small, flag, value, "--out", str(tmp_path / argv[0])])
+        assert rc == 2, argv[0]
+        assert message in capsys.readouterr().err, argv[0]
+
+
 def test_numeric_error_exit3(tmp_path, capsys):
     # a dataset of all-zero samples makes S singular: the glasso PD
     # initialization cannot be formed, which is a numeric error (exit 3)
@@ -230,6 +244,32 @@ def test_numeric_error_exit3(tmp_path, capsys):
     rc = run(["solve-glasso", "--data", str(ds), "--out", str(tmp_path / "o")])
     assert rc == 3
     assert "numeric error" in capsys.readouterr().err
+
+
+# (file, edit) pairs that each break one file of a generated dataset
+_MALFORMED = {
+    "non_numeric_token": ("samples.csv", lambda t: re.sub(r"^[^,]+", "x", t)),
+    "ragged_rows": ("samples.csv", lambda t: t.replace("\n", ",1\n", 1)),
+    "narrower_than_y_star": ("samples.csv", lambda t: re.sub(r",[^,\n]+$", "", t, flags=re.M)),
+    "sigma_not_a_number": ("meta.txt", lambda t: re.sub(r"^sigma=.*$", "sigma=x", t, flags=re.M)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED))
+def test_malformed_dataset_file_exit3_names_the_file(tmp_path, capsys, case):
+    ds = tmp_path / "ds"
+    assert run(["gen", "--scenario", "cov", "--n", "6", "--blocks", "2,4", "--nsamples", "10",
+                "--seed", "1", "--out", str(ds)]) == 0
+    name, edit = _MALFORMED[case]
+    (ds / name).write_text(edit((ds / name).read_text()))
+    capsys.readouterr()
+    rc = run(["solve-cov", "--data", str(ds), "--out", str(tmp_path / "o")])
+    assert rc == 3
+    assert str(ds / name) in capsys.readouterr().err
+
+
+def test_every_key_has_help():
+    assert [k for keys in _DEFAULTS.values() for k in keys if k not in _HELP] == []
 
 
 def test_reference_defaults():

@@ -313,3 +313,24 @@ def test_dr_noisy_baseline_runs():
     rep = dr_noisy_baseline(prob.s, 0.05, 0.05)
     assert rep.objective_trace[-1] <= rep.objective_trace[0]
     assert np.linalg.eigvalsh(rep.c_final.mat)[0] > 0
+
+
+@pytest.mark.parametrize("n", [30, 60])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_glasso_solve_meets_kkt_beyond_n5(n, seed):
+    # optimality of -log det C + tr(CS) + mu1*||C||_1: with G = S - C^-1,
+    # G + mu1*sign(C) = 0 on the support of c_sparse and |G| <= mu1 off it
+    mu1 = 0.05
+    c_star = gen_sparse_precision(n, 0.02, seed)
+    s = empirical_cov(sample_gaussian(spd_inverse(c_star), 0.0, 200, seed + 1))
+    rep = glasso_solve(s, mu1, cfg=MMConfig().inner)
+    assert rep.stop_reason == "tolerance"
+    np.linalg.cholesky(rep.c_final.mat)
+    grad = s.mat - np.linalg.inv(rep.c_final.mat)
+    c = rep.c_sparse.mat
+    on = c != 0.0
+    worst = max(
+        np.abs(grad[on] + mu1 * np.sign(c[on])).max(initial=0.0),
+        (np.abs(grad[~on]) - mu1).max(initial=0.0),
+    )
+    assert worst <= 1e-5 * mu1

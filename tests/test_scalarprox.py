@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -676,6 +677,34 @@ def test_cauchy_rows_match_per_element_np_roots(div):
         ref = np.array([_cauchy_by_np_roots(k, g, x) for x in lam.tolist()])
         got = kernel_prox_vec(k, g, lam)
         assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref))), (mu, eps, g)
+
+
+def _burg_cauchy_small_root(g, lam, mu, eps):
+    """The root of ((d - lam)d - g)(d^2 + eps) + 2 g mu d^2 in
+    [g/(2|lam|), 2g/|lam|] for lam < 0, to the float: bisection on floats
+    with the sign taken in exact rational arithmetic."""
+    gq, lq, mq, eq = map(Fraction, (g, lam, mu, eps))
+
+    def h(d):
+        d = Fraction(d)
+        return ((d - lq) * d - gq) * (d * d + eq) + 2 * gq * mq * d * d
+
+    a, b = g / (2.0 * abs(lam)), 2.0 * g / abs(lam)
+    assert h(a) < 0 < h(b)
+    while a < 0.5 * (a + b) < b:
+        m = 0.5 * (a + b)
+        a, b = (m, b) if h(m) < 0 else (a, m)
+    return a
+
+
+def test_burg_cauchy_small_root_at_large_negative_lambda():
+    mu, eps = 0.346, 0.215
+    k = ScalarKernel(BURG, Penalty.cauchy(mu, eps))
+    for g, lam in ((1.0, -1e8), (1.0, -1e10), (1.0, -1e12), (0.05, -1e12)):
+        root = _burg_cauchy_small_root(g, lam, mu, eps)
+        (d,) = kernel_prox(k, g, lam)
+        assert abs(d - root) <= 1e-12 * root, (g, lam, d, root)
+        assert kernel_prox_vec(k, g, np.array([lam, 1.0]))[0] == d
 
 
 # --- configuration ------------------------------------------------------------

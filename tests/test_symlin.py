@@ -5,6 +5,7 @@ import pytest
 
 from symprox import (
     ConditioningError,
+    ConfigurationError,
     EigenDecomp,
     InvalidInputError,
     SymMatrix,
@@ -17,6 +18,7 @@ from symprox import (
     trace,
     write_matrix_csv,
 )
+from symprox.symlin import read_csv, read_kv, write_csv, write_kv
 
 from _oracles import rand_sym, rand_spd
 
@@ -174,3 +176,41 @@ def test_matrix_csv_rejects_ragged(tmp_path):
     path.write_text("1.0,2.0\n3.0\n")
     with pytest.raises(InvalidInputError):
         read_matrix_csv(path)
+
+
+def test_write_csv_and_write_kv_format_cells(tmp_path):
+    path = tmp_path / "t.csv"
+    write_csv(path, [(1, 0.1, np.float64(1 / 3), "a", True)], header=("i", "x", "y", "s", "b"))
+    assert path.read_text() == "i,x,y,s,b\n1,0.10000000000000001,0.33333333333333331,a,True\n"
+    path = tmp_path / "t.txt"
+    write_kv(path, {"z": None, "a": 2.5, "m": 3})
+    assert path.read_text() == "a=2.5\nm=3\nz=None\n"
+
+
+def test_read_csv_skips_blank_lines(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("\n1,2.5\n\n-3, 4e-1\n")
+    assert read_csv(path).tolist() == [[1.0, 2.5], [-3.0, 0.4]]
+
+
+@pytest.mark.parametrize("text, message", [
+    ("1,2\n3,x\n", ":2: could not convert string to float: 'x'"),
+    ("1,2\n3\n", ": rows are empty or of unequal length"),
+    ("\n\n", ": rows are empty or of unequal length"),
+])
+def test_read_csv_errors_name_the_file(tmp_path, text, message):
+    path = tmp_path / "t.csv"
+    path.write_text(text)
+    with pytest.raises(InvalidInputError) as err:
+        read_csv(path)
+    assert str(err.value) == f"{path}{message}"
+
+
+def test_read_kv_comments_dashes_and_error(tmp_path):
+    path = tmp_path / "k.txt"
+    path.write_text("# header\nmax-iter = 30  # inline\n\nout=a=b\n")
+    assert read_kv(path) == {"max_iter": "30", "out": "a=b"}
+    path.write_text("a=1\noops # no equals sign\n")
+    with pytest.raises(ConfigurationError) as err:
+        read_kv(path)
+    assert str(err.value) == f"{path}:2: expected key=value, got 'oops'"
