@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, NumericError
+from .errors import ConfigurationError, InvalidInputError, NumericError
 from .symlin import (
     SymMatrix,
     _recompose_raw,
@@ -189,7 +189,10 @@ def write_dataset(ds, dirpath, extra=None):
 def read_dataset(dirpath):
     """Read a dataset directory back; returns (Dataset, metadata dict)."""
     meta_path, samples_path = (os.path.join(dirpath, f) for f in ("meta.txt", "samples.csv"))
-    meta = read_kv(meta_path)
+    try:
+        meta = read_kv(meta_path)
+    except ConfigurationError as exc:  # a dataset file, not a config file: exit 3
+        raise InvalidInputError(str(exc)) from None
     y_star = read_matrix_csv(os.path.join(dirpath, "y_star.csv"))
     samples = read_csv(samples_path)
     if samples.shape[1] != y_star.n:
@@ -200,4 +203,6 @@ def read_dataset(dirpath):
         seed, sigma = int(meta.get("seed", "0")), float(meta.get("sigma", "0"))
     except ValueError as exc:
         raise InvalidInputError(f"{meta_path}: {exc}") from None
+    if not 0.0 <= sigma < np.inf:
+        raise InvalidInputError(f"{meta_path}: sigma must be finite and nonnegative, got {sigma}")
     return Dataset(y_star=y_star, samples=samples, seed=seed, sigma=sigma), meta

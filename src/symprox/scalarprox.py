@@ -296,7 +296,10 @@ def _newton_bisect_vec(hdh, hi, tol=1e-12, max_iter=200):
     below 1 keep their digits, with an absolute floor of tol**2 that a root
     underflowing to 0 reaches within max_iter halvings.  An element stops
     moving once it has converged, so its root does not depend on the other
-    elements of the call.  Raises
+    elements of the call.  A Newton step is accepted anywhere in the closed
+    bracket [a, b]: the end a (or b) has just been moved to x, so a
+    converged step lands on xn == a (or b), and a strict test would reject
+    it and bisect away from the root, some 40 halvings per call.  Raises
     BracketingError when h(0) > 0 or no finite upper end exists, and
     NumericError when elements are still unconverged after max_iter steps.
     """
@@ -324,7 +327,7 @@ def _newton_bisect_vec(hdh, hi, tol=1e-12, max_iter=200):
         neg = hx < 0.0
         a = np.where(neg, x, a)
         b = np.where(neg, b, x)
-        bad = ~np.isfinite(xn) | (xn <= a) | (xn >= b)
+        bad = ~np.isfinite(xn) | (xn < a) | (xn > b)
         xn = np.where(bad, 0.5 * (a + b), xn)
         moved = np.abs(xn - x) > tol * np.maximum(tol, np.abs(xn))
         x = np.where(open_, xn, x)

@@ -252,6 +252,9 @@ _MALFORMED = {
     "ragged_rows": ("samples.csv", lambda t: t.replace("\n", ",1\n", 1)),
     "narrower_than_y_star": ("samples.csv", lambda t: re.sub(r",[^,\n]+$", "", t, flags=re.M)),
     "sigma_not_a_number": ("meta.txt", lambda t: re.sub(r"^sigma=.*$", "sigma=x", t, flags=re.M)),
+    "sigma_nan": ("meta.txt", lambda t: re.sub(r"^sigma=.*$", "sigma=nan", t, flags=re.M)),
+    "sigma_negative": ("meta.txt", lambda t: re.sub(r"^sigma=.*$", "sigma=-0.1", t, flags=re.M)),
+    "meta_line_without_equals": ("meta.txt", lambda t: t + "oops\n"),
 }
 
 

@@ -238,6 +238,42 @@ def test_root_unconverged_raises():
         _newton_bisect_vec(_cubic, np.array([2.0]), max_iter=2)
 
 
+def _counted(hdh, counter):
+    def wrapped(d):
+        counter.append(1)
+        return hdh(d)
+
+    return wrapped
+
+
+@pytest.mark.parametrize("root, bracketing", [(0.7, 2), (10.0, 5)])
+def test_root_linear_accepts_converged_newton_step(root, bracketing):
+    # Newton is exact on a linear h: the first step lands on the root, and
+    # the next step, which stays there, must be accepted although it lies
+    # on an end of the bracket.  Bracketing evaluates h(0) and h(hi), with
+    # hi doubled from 2 until h(hi) >= 0.
+    evals = []
+    x = _newton_bisect_vec(_counted(lambda d: (d - root, np.ones_like(d)), evals), np.array([2.0]))
+    assert x[0] == pytest.approx(root, rel=1e-15)
+    assert len(evals) - bracketing <= 3
+
+
+def test_root_evaluations_on_the_mm_inner_row(monkeypatch):
+    # the prox each majorize-minimize inner iteration root-solves:
+    # noisy Burg plus inverse Schatten p = 1
+    evals, calls = [], []
+
+    def counting(hdh, hi, *args, **kwargs):
+        calls.append(1)
+        return _newton_bisect_vec(_counted(hdh, evals), hi, *args, **kwargs)
+
+    monkeypatch.setattr("symprox.scalarprox._newton_bisect_vec", counting)
+    k = ScalarKernel(Divergence.noisy_burg(0.04), Penalty.inv_schatten(0.005, 1.0))
+    lam = np.random.default_rng(0).uniform(-1.0, 3.0, 100)
+    kernel_prox_vec(k, 1.0, lam)
+    assert calls and len(evals) / len(calls) <= 12
+
+
 def test_schatten3_implicit_matches_closed_form():
     mu, g = 0.5, 0.8
     k = ScalarKernel(HS, Penalty.schatten(mu, 3))
