@@ -20,7 +20,7 @@ import numpy as np
 from .errors import DomainError, InvalidInputError, NumericError
 from .scalarprox import Divergence, Penalty, _phi_sum, _psi_sum
 from .splitting import DRConfig, ObjectiveSpec, SolveReport, dr_solve
-from .symlin import SymMatrix, _psd_ok, _recompose_raw, as_sym, inner, spd_inverse
+from .symlin import EigenDecomp, SymMatrix, _psd_ok, _recompose_raw, as_sym, eig_sym, inner, recompose, spd_inverse
 
 
 @dataclass(frozen=True)
@@ -49,6 +49,14 @@ class NoisyGlassoProblem:
     @property
     def n(self):
         return self.s.n
+
+    @property
+    def divergence(self):
+        return Divergence.noisy_burg(self.sigma2)
+
+    @property
+    def penalty(self):
+        return Penalty.inv_schatten(self.mu0, 1.0) if self.mu0 > 0 else Penalty.none()
 
 
 @dataclass(frozen=True)
@@ -79,68 +87,68 @@ class MMReport:
     last_inner: SolveReport
 
 
-def _psd_eigs(c):
-    c = as_sym(c)
-    lam = np.linalg.eigvalsh(c.mat)
-    if not _psd_ok(lam):
-        raise DomainError(f"matrix must be PSD (smallest eigenvalue {lam[0]:.3e})")
-    return c, lam
+def _eig(c):
+    return c if isinstance(c, EigenDecomp) else eig_sym(c)
+
+
+def _mat(c):
+    return recompose(c).mat if isinstance(c, EigenDecomp) else as_sym(c).mat
+
+
+def _psd_weights(prob, c):
+    # eigenpairs of PSD c and b = 1/(1 + sigma2*d), the eigenvalues of (I + sigma2*C)^-1
+    e = _eig(c)
+    if not _psd_ok(e.lam):
+        raise DomainError(f"matrix must be PSD (smallest eigenvalue {e.lam.min():.3e})")
+    return e, 1.0 / (1.0 + prob.sigma2 * e.lam)
 
 
 def trace_term(prob, c):
-    """trace((I + sigma2*C)^-1 C S) for PSD C, via an SPD solve."""
-    c, _ = _psd_eigs(c)
-    n = c.n
-    m = np.linalg.solve(np.eye(n) + prob.sigma2 * c.mat, c.mat)
-    return float(np.einsum("ij,ji->", m, prob.s.mat))
+    """trace((I + sigma2*C)^-1 C S) for PSD C = U diag(d) U^T, given as a
+    matrix or its EigenDecomp: sum_i d_i b_i u_i^T S u_i, b = 1/(1 + sigma2*d)."""
+    e, b = _psd_weights(prob, c)
+    return float(np.sum(e.lam * b * np.einsum("ij,ij->j", e.u, prob.s.mat @ e.u)))
 
 
 def grad_trace_term(prob, c):
-    """(I + sigma2*C)^-1 S (I + sigma2*C)^-1, a PSD matrix."""
-    c, _ = _psd_eigs(c)
-    n = c.n
-    b = np.eye(n) + prob.sigma2 * c.mat
-    x = np.linalg.solve(b, prob.s.mat)
-    grad = np.linalg.solve(b, x.T).T
+    """(I + sigma2*C)^-1 S (I + sigma2*C)^-1 = B S B with B = U diag(b) U^T,
+    a PSD matrix; c is a matrix or its EigenDecomp."""
+    e, b = _psd_weights(prob, c)
+    bm = _recompose_raw(e.u, b)
+    grad = bm @ prob.s.mat @ bm
     return SymMatrix(0.5 * (grad + grad.T), strict=False)
 
 
 def f_noisy(prob, c):
-    """log det(C^-1 + sigma2*I) through the eigenvalues of C; +inf unless PD."""
-    return _phi_sum(Divergence.noisy_burg(prob.sigma2), np.linalg.eigvalsh(as_sym(c).mat))
+    """log det(C^-1 + sigma2*I) from the eigenvalues of c, a matrix or its EigenDecomp; +inf unless PD."""
+    return _phi_sum(prob.divergence, _eig(c).lam)
 
 
-def _g0_term(prob, c):
-    if prob.mu0 == 0.0:
-        return 0.0
-    return _psi_sum(Penalty.inv_schatten(prob.mu0, 1.0), np.linalg.eigvalsh(as_sym(c).mat))
-
-
-def _g1_term(prob, c):
-    return prob.mu1 * float(np.abs(as_sym(c).mat).sum())
+def _objective(prob, c, trace_part):
+    # F and its majorant share every term but the trace term, in this order
+    # and from the same eigenvalues, so that G(c | c) == F(c) bitwise
+    e = _eig(c)
+    f = f_noisy(prob, e)
+    if math.isinf(f):
+        return math.inf
+    cmat = _mat(c)
+    return f + trace_part(e, cmat) + _psi_sum(prob.penalty, e.lam) + prob.mu1 * float(np.abs(cmat).sum())
 
 
 def objective_F(prob, c):
-    """Full objective; +inf outside the positive definite cone."""
-    f = f_noisy(prob, c)
-    if math.isinf(f):
-        return math.inf
-    # term order mirrors majorant_eval so that tangency is exact
-    return f + trace_term(prob, c) + _g0_term(prob, c) + _g1_term(prob, c)
+    """Full objective at c, a matrix or its EigenDecomp; +inf outside the
+    positive definite cone."""
+    return _objective(prob, c, lambda e, _: trace_term(prob, e))
 
 
 def majorant_eval(prob, c, c_anchor):
     """Tangent majorant G(c | c_anchor): the trace term is linearized at
-    the anchor; all other terms are shared with objective_F."""
-    f = f_noisy(prob, c)
-    if math.isinf(f):
-        return math.inf
-    c = as_sym(c)
-    c_anchor = as_sym(c_anchor)
-    lin = trace_term(prob, c_anchor) + inner(
-        grad_trace_term(prob, c_anchor), SymMatrix(c.mat - c_anchor.mat, strict=False)
+    the anchor; all other terms are shared with objective_F.  Each
+    argument is a matrix or its EigenDecomp."""
+    a = _eig(c_anchor)
+    return _objective(
+        prob, c, lambda _, cmat: trace_term(prob, a) + inner(grad_trace_term(prob, a), cmat - _mat(c_anchor))
     )
-    return f + lin + _g0_term(prob, c) + _g1_term(prob, c)
 
 
 def default_init(prob):
@@ -157,43 +165,34 @@ def mm_solve(prob, cfg=None, c0=None):
     Each outer step solves the convex surrogate obtained by linearizing
     the trace term, using divergence noisy_burg(sigma2) and penalty
     mu0/lambda, with linear term T = -grad of the trace term.  The inner
-    solver's governing iterate is carried over as the next warm start.
-    The outer objective trace is checked for monotone descent at runtime.
+    solver's governing iterate is carried over as the next warm start, and
+    its eigenpairs (c_final_eig) give the next gradient and F without a new
+    eigendecomposition.  The outer objective trace is checked for monotone
+    descent at runtime.
     """
     cfg = cfg or MMConfig()
-    c0 = as_sym(c0) if c0 is not None else default_init(prob)
-    f_prev = objective_F(prob, c0)
+    c = as_sym(c0) if c0 is not None else default_init(prob)
+    e = eig_sym(c)
+    f_prev = objective_F(prob, e)
     if not math.isfinite(f_prev):
         raise InvalidInputError("invalid start: objective is not finite at c0")
-    div = Divergence.noisy_burg(prob.sigma2)
-    pen = Penalty.inv_schatten(prob.mu0, 1.0) if prob.mu0 > 0 else Penalty.none()
-
-    c = c0
-    state = c0
+    state = c
     outer_objs = [f_prev]
     inner_iters = []
     stop_reason = "max_iter"
-    rep = None
     for ell in range(cfg.outer_max):
-        grad = grad_trace_term(prob, c)
-        ospec = ObjectiveSpec(
-            divergence=div,
-            t=SymMatrix(-grad.mat, strict=False),
-            g0=pen,
-            mu1=prob.mu1,
-            psd=False,
-        )
+        t = SymMatrix(-grad_trace_term(prob, e).mat, strict=False)
+        ospec = ObjectiveSpec(divergence=prob.divergence, t=t, g0=prob.penalty, mu1=prob.mu1)
         rep = dr_solve(ospec, cfg.inner, state, check_start=False)
-        c_new = rep.c_final
         state = rep.c_state
-        f_new = objective_F(prob, c_new)
+        f_new = objective_F(prob, rep.c_final_eig)
         inner_iters.append(rep.iterations)
         if abs(f_new - f_prev) <= cfg.outer_eps * max(abs(f_prev), 1e-300):
             # converged; never publish an uphill step (finite inner-solver
             # resolution can wiggle F upward by less than the tolerance)
             if f_new <= f_prev:
                 outer_objs.append(f_new)
-                c = c_new
+                c = rep.c_final
             stop_reason = "tolerance"
             break
         if f_new > f_prev + 1e-12 * max(1.0, abs(f_prev)):
@@ -206,7 +205,7 @@ def mm_solve(prob, cfg=None, c0=None):
                 f"{f_prev!r} -> {f_new!r}"
             )
         outer_objs.append(f_new)
-        c = c_new
+        c, e = rep.c_final, rep.c_final_eig
         f_prev = f_new
     return MMReport(
         c_final=c,
@@ -229,14 +228,9 @@ def glasso_solve(s, mu1, cfg=None, c0=None):
 def dr_noisy_baseline(s, mu0, mu1, cfg=None, c0=None):
     """Noise-blind Douglas-Rachford baseline: -log det(C) + trace(CS)
     + mu0*sum 1/lambda_i(C) + mu1*||C||_1 in a single convex solve."""
-    s = as_sym(s)
     prob = NoisyGlassoProblem(s=s, sigma2=0.0, mu0=mu0, mu1=mu1)
     cfg = cfg or MMConfig().inner
-    spec = ObjectiveSpec(
-        divergence=Divergence.burg(),
-        t=SymMatrix(-prob.s.mat, strict=False),
-        g0=Penalty.inv_schatten(mu0, 1.0) if mu0 > 0 else Penalty.none(),
-        mu1=mu1,
-    )
+    t = SymMatrix(-prob.s.mat, strict=False)
+    spec = ObjectiveSpec(divergence=Divergence.burg(), t=t, g0=prob.penalty, mu1=mu1)
     c0 = as_sym(c0) if c0 is not None else default_init(prob)
     return dr_solve(spec, cfg, c0)

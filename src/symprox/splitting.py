@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConfigurationError, InvalidInputError
 from .scalarprox import Divergence, Penalty, ScalarKernel, _phi_sum, _psi_sum, kernel_prox_vec, soft
-from .symlin import SymMatrix, _eigh_desc, _psd_ok, _recompose_raw, as_sym, format_float, write_csv
+from .symlin import EigenDecomp, SymMatrix, _eigh_desc, _psd_ok, _recompose_raw, as_sym, format_float, write_csv
 
 
 @dataclass(frozen=True)
@@ -71,12 +71,14 @@ class SolveReport:
     c_final is the shadow iterate C^(k+1/2) (the convergent sequence);
     c_sparse is the matching soft-threshold shadow prox_{gamma*g1}(...),
     which carries exact zeros and is the natural support estimate;
-    c_state is the governing iterate C^(k), the warm-start handle.
+    c_state is the governing iterate C^(k), the warm-start handle;
+    c_final_eig is the EigenDecomp (u, d) c_final was recomposed from.
     """
 
     c_final: SymMatrix
     c_sparse: SymMatrix
     c_state: SymMatrix
+    c_final_eig: EigenDecomp
     objective_trace: list = field(default_factory=list)
     fixed_point_residuals: list = field(default_factory=list)
     iterations: int = 0
@@ -169,6 +171,7 @@ def dr_solve(spec, cfg, c0, check_start=True):
         c_final=SymMatrix(chalf, strict=False),
         c_sparse=SymMatrix(sparse, strict=False),
         c_state=SymMatrix(state, strict=False),
+        c_final_eig=EigenDecomp(u=u, lam=d),
         objective_trace=obj_trace,
         fixed_point_residuals=residuals,
         iterations=len(obj_trace),

@@ -65,7 +65,7 @@ def as_sym(a, strict=True):
 
 @dataclass(frozen=True)
 class EigenDecomp:
-    """Orthogonal eigenbasis u (columns) and eigenvalues lam, sorted descending."""
+    """Orthogonal eigenbasis u (columns) and eigenvalues lam (eig_sym sorts them descending)."""
 
     u: np.ndarray
     lam: np.ndarray
@@ -98,9 +98,9 @@ def eig_sym(a):
 
 
 def _psd_ok(w):
-    """Whether ascending eigenvalues w are those of a PSD matrix up to the
-    dust an eigensolve leaves: w[0] >= -1e-10 * max(1, |w[-1]|)."""
-    return not w[0] < -_PSD_SLACK * max(1.0, abs(w[-1]))
+    """Whether eigenvalues w, in any order, are those of a PSD matrix up to
+    the dust an eigensolve leaves: min(w) >= -1e-10 * max(1, max|w|)."""
+    return not w.min() < -_PSD_SLACK * max(1.0, float(np.abs(w).max()))
 
 
 def _recompose_raw(u, lam):

@@ -6,12 +6,14 @@ import pytest
 from symprox import (
     DomainError,
     DRConfig,
+    EigenDecomp,
     InvalidInputError,
     MMConfig,
     NoisyGlassoProblem,
     NumericError,
     SymMatrix,
     dr_noisy_baseline,
+    eig_sym,
     f_noisy,
     fro_norm,
     glasso_solve,
@@ -58,17 +60,71 @@ def test_trace_term_dual_path_oracle():
         s = rand_spd(rng, n)
         sigma2 = float(rng.uniform(0.0, 1.0))
         prob = NoisyGlassoProblem(s=SymMatrix(s, strict=False), sigma2=sigma2)
-        # independent eigen-route: trace(U diag(w/(1+sigma2 w)) U' S)
-        w, v = np.linalg.eigh(c)
-        m = (v * (w / (1.0 + sigma2 * w))) @ v.T
-        expect = float(np.sum(m * s))
+        # independent SPD-solve route: trace(B^-1 C S) and B^-1 S B^-1, B = I + sigma2 C
+        b = np.eye(n) + sigma2 * c
+        expect = float(np.trace(np.linalg.solve(b, c) @ prob.s.mat))
         assert trace_term(prob, c) == pytest.approx(expect, rel=1e-11)
+        grad = np.linalg.solve(b, np.linalg.solve(b, prob.s.mat).T).T
+        got = grad_trace_term(prob, c).mat
+        assert np.abs(got - grad).max() <= 1e-11 * np.abs(grad).max()
 
 
 def test_trace_term_rejects_non_psd():
     prob = NoisyGlassoProblem(s=SymMatrix(np.eye(3)), sigma2=0.5)
     with pytest.raises(DomainError):
         trace_term(prob, np.diag([1.0, 1.0, -0.5]))
+    # a carried decomposition is checked whatever the order of its eigenvalues
+    for lam in ([1.0, 1.0, -0.5], [-0.5, 1.0, 1.0]):
+        with pytest.raises(DomainError):
+            trace_term(prob, EigenDecomp(u=np.eye(3), lam=np.array(lam)))
+        with pytest.raises(DomainError):
+            grad_trace_term(prob, EigenDecomp(u=np.eye(3), lam=np.array(lam)))
+
+
+@pytest.mark.parametrize("sigma2", [0.0, 0.3])
+def test_matrix_and_decomposition_inputs_agree(sigma2):
+    rng = np.random.default_rng(14)
+    prob, _, _ = _problem(n=7, seed=14)
+    prob = NoisyGlassoProblem(s=prob.s, sigma2=sigma2, mu0=prob.mu0, mu1=prob.mu1)
+    for _ in range(5):
+        c, anchor = rand_spd(rng, 7), rand_spd(rng, 7)
+        ec, ea = eig_sym(c), eig_sym(anchor)
+        for fn, args, eargs in (
+            (trace_term, (c,), (ec,)),
+            (objective_F, (c,), (ec,)),
+            (majorant_eval, (c, anchor), (ec, ea)),
+            (majorant_eval, (c, anchor), (c, ea)),
+            (majorant_eval, (c, anchor), (ec, anchor)),
+        ):
+            assert fn(prob, *eargs) == pytest.approx(fn(prob, *args), rel=1e-12, abs=0.0)
+        g, ge = grad_trace_term(prob, c).mat, grad_trace_term(prob, ec).mat
+        assert np.abs(ge - g).max() <= 1e-12 * np.abs(g).max()
+    # outside the positive definite cone F is +inf in both forms
+    for bad in (np.diag([1.0, 2.0, 0.0, 1.0, 1.0, 1.0, 1.0]), np.diag([1.0] * 6 + [-0.5])):
+        assert objective_F(prob, bad) == math.inf
+        assert objective_F(prob, eig_sym(bad)) == math.inf
+
+
+def test_mm_outer_steps_make_no_decomposition_or_solve(monkeypatch):
+    # one decomposition per DR iteration; the start adds its inverse and one
+    # eigendecomposition, and the outer steps read the inner solve's eigenpairs
+    prob, _, _ = _problem(n=10, sigma=0.25, seed=7)
+    calls = {"decompositions": 0, "solves": 0}
+
+    def counted(kind, fn):
+        def wrapped(*args, **kwargs):
+            calls[kind] += 1
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counted("decompositions", getattr(np.linalg, name)))
+    monkeypatch.setattr(np.linalg, "solve", counted("solves", np.linalg.solve))
+    rep = mm_solve(prob)
+    assert rep.outer_iterations >= 2
+    assert calls["solves"] == 0
+    assert calls["decompositions"] <= sum(rep.inner_iterations) + 2
 
 
 def test_grad_trace_identity_case():
@@ -262,8 +318,10 @@ def test_mm_descent_guard_aborts_on_real_violation(monkeypatch):
 
     def bad_dr(spec, cfg, c0, check_start=True):
         rep = real_dr(spec, cfg, c0, check_start=check_start)
-        # corrupt the inner result enough to push F up well past the stall band
+        # corrupt the inner result enough to push F up well past the stall band;
+        # shifting the carried eigenvalues by 0.5 gives the same matrix C + 0.5 I
         rep.c_final = SymMatrix(rep.c_final.mat + 0.5 * np.eye(rep.c_final.n), strict=False)
+        rep.c_final_eig = EigenDecomp(u=rep.c_final_eig.u, lam=rep.c_final_eig.lam + 0.5)
         return rep
 
     monkeypatch.setattr(mm, "dr_solve", bad_dr)
