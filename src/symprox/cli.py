@@ -11,7 +11,7 @@ import argparse
 import os
 import sys
 import time
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 
@@ -93,7 +93,7 @@ _HELP = {
     "matrix": "input matrix CSV",
     "kernel": "kernel spec, e.g. 'divergence=burg penalty=nuclear mu=0.2'",
     "t": "linear-term matrix CSV (default zero)",
-    "psd": "project eigenvalues onto [0, inf)",
+    "psd": "constrain the prox to the PSD cone",
     "scenario": "cov or glasso",
     "blocks": "comma-separated block sizes (cov scenario)",
     "p": "precision density (glasso scenario)",
@@ -169,6 +169,14 @@ def _sigma_list(text):
     return vals
 
 
+def _sigma_one(eff):
+    """The single noise level of a dataset-generating command."""
+    vals = _sigma_list(eff["sigma"])
+    if len(vals) != 1:
+        raise ConfigurationError(f"key 'sigma' takes one value here, got '{eff['sigma']}'")
+    return vals[0]
+
+
 def _blocks_list(text):
     try:
         sizes = tuple(int(tok) for tok in str(text).split(",") if tok.strip() != "")
@@ -193,7 +201,7 @@ def _make_cov_dataset(eff):
             f"key 'n' ({eff['n']}) disagrees with the sum of 'blocks' ({blocks.n})"
         )
     _check_nsamples(eff)
-    sigma = _sigma_list(eff["sigma"])[0]
+    sigma = _sigma_one(eff)
     y_star = gen_block_lowrank_cov(blocks, eff["seed"])
     n_samples = eff["nsamples"] if eff["nsamples"] else blocks.n
     ds = sample_gaussian(y_star, sigma, n_samples, eff["seed"] + 1)
@@ -211,7 +219,7 @@ def _check_glasso_keys(eff):
 
 def _make_glasso_dataset(eff):
     _check_glasso_keys(eff)
-    sigma = _sigma_list(eff["sigma"])[0]
+    sigma = _sigma_one(eff)
     c_star = gen_sparse_precision(eff["n"], eff["p"], eff["seed"])
     y_star = spd_inverse(c_star)
     n_samples = eff["nsamples"] if eff["nsamples"] else 1000
@@ -263,7 +271,7 @@ def _cmd_prox(eff):
         raise ConfigurationError("key 'matrix' is required (path to a matrix CSV)")
     if not eff["kernel"]:
         raise ConfigurationError("key 'kernel' is required (e.g. 'divergence=burg penalty=nuclear mu=0.2')")
-    kernel = parse_kernel(eff["kernel"])
+    kernel = replace(parse_kernel(eff["kernel"]), psd=eff["psd"])
     c_bar = read_matrix_csv(eff["matrix"])
     if c_bar.asym_residual > 0:
         print(f"asymmetry residual of input: {format_float(c_bar.asym_residual)}")
@@ -271,15 +279,12 @@ def _cmd_prox(eff):
         t = read_matrix_csv(eff["t"])
     else:
         t = SymMatrix(np.zeros((c_bar.n, c_bar.n)), strict=False)
-    req = SpectralProxRequest(
-        kernel=kernel, gamma=eff["gamma"], t=t, c_bar=c_bar, psd=eff["psd"]
-    )
-    result = prox_spectral(req)
+    result = prox_spectral(SpectralProxRequest(kernel=kernel, gamma=eff["gamma"], t=t, c_bar=c_bar))
     outdir = eff["out"]
     _echo_config(eff, outdir)
     write_matrix_csv(result, os.path.join(outdir, "result.csv"))
     spec = ObjectiveSpec(
-        divergence=kernel.divergence, t=t, g0=kernel.penalty, mu1=0.0, psd=eff["psd"]
+        divergence=kernel.divergence, t=t, g0=kernel.penalty, mu1=0.0, psd=kernel.psd
     )
     obj = objective_eval(spec, result) + fro_norm(
         SymMatrix(result.mat - c_bar.mat, strict=False)

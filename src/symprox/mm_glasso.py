@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, InvalidInputError, NumericError
-from .scalarprox import Divergence, Penalty, _phi_sum, _psi_sum
+from .scalarprox import Divergence, Penalty, ScalarKernel, _phi_sum, kernel_eval_vec
 from .splitting import DRConfig, ObjectiveSpec, SolveReport, dr_solve
 from .symlin import EigenDecomp, SymMatrix, _psd_ok, _recompose_raw, as_sym, eig_sym, inner, recompose, spd_inverse
 
@@ -75,8 +75,9 @@ class MMConfig:
 @dataclass
 class MMReport:
     """Outcome of one MM run: final precision estimate plus the outer
-    objective trace.  c_sparse is the soft-threshold shadow of the last
-    inner solve (exact zeros; the support estimate)."""
+    objective trace.  c_sparse is the soft-threshold shadow of the inner
+    solve that produced c_final (exact zeros; the support estimate), or
+    the start when no step was published."""
 
     c_final: SymMatrix
     c_sparse: SymMatrix
@@ -128,11 +129,11 @@ def _objective(prob, c, trace_part):
     # F and its majorant share every term but the trace term, in this order
     # and from the same eigenvalues, so that G(c | c) == F(c) bitwise
     e = _eig(c)
-    f = f_noisy(prob, e)
-    if math.isinf(f):
+    v = kernel_eval_vec(ScalarKernel(prob.divergence, prob.penalty), e.lam)
+    if math.isinf(v):
         return math.inf
     cmat = _mat(c)
-    return f + trace_part(e, cmat) + _psi_sum(prob.penalty, e.lam) + prob.mu1 * float(np.abs(cmat).sum())
+    return v + trace_part(e, cmat) + prob.mu1 * float(np.abs(cmat).sum())
 
 
 def objective_F(prob, c):
@@ -177,6 +178,7 @@ def mm_solve(prob, cfg=None, c0=None):
     if not math.isfinite(f_prev):
         raise InvalidInputError("invalid start: objective is not finite at c0")
     state = c
+    sparse = c  # the published step's soft-threshold shadow; the start until one is published
     outer_objs = [f_prev]
     inner_iters = []
     stop_reason = "max_iter"
@@ -192,7 +194,7 @@ def mm_solve(prob, cfg=None, c0=None):
             # resolution can wiggle F upward by less than the tolerance)
             if f_new <= f_prev:
                 outer_objs.append(f_new)
-                c = rep.c_final
+                c, sparse = rep.c_final, rep.c_sparse
             stop_reason = "tolerance"
             break
         if f_new > f_prev + 1e-12 * max(1.0, abs(f_prev)):
@@ -205,11 +207,11 @@ def mm_solve(prob, cfg=None, c0=None):
                 f"{f_prev!r} -> {f_new!r}"
             )
         outer_objs.append(f_new)
-        c, e = rep.c_final, rep.c_final_eig
+        c, e, sparse = rep.c_final, rep.c_final_eig, rep.c_sparse
         f_prev = f_new
     return MMReport(
         c_final=c,
-        c_sparse=rep.c_sparse,
+        c_sparse=sparse,
         outer_objectives=outer_objs,
         inner_iterations=inner_iters,
         outer_iterations=len(inner_iters),

@@ -6,9 +6,9 @@ penalty psi.  kernel_prox solves, per eigenvalue,
     argmin_d  (d - lam)^2 / 2 + gamma * (phi(d) + psi(d)),
 
 in closed form where one exists and by safeguarded root solving
-otherwise.  Nonconvex penalties (rank, Cauchy) may have several global
-minimizers; all are returned and callers take the first (lowest
-objective, then smallest magnitude).
+otherwise; a PSD kernel adds the constraint d >= 0.  Nonconvex penalties
+(rank, Cauchy) may have several global minimizers; all are returned and
+callers take the first (lowest objective, then smallest magnitude).
 """
 
 import math
@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BracketingError, ConfigurationError, DomainError, NumericError
+from .symlin import _psd_ok
 
 _DIV_KINDS = ("half_square", "burg", "shannon", "noisy_burg")
 # The parameters each penalty kind takes; a kind that takes mu needs mu > 0.
@@ -162,15 +163,18 @@ class Penalty:
 
 @dataclass(frozen=True)
 class ScalarKernel:
-    """A supported (divergence, penalty) pair.
+    """A supported (divergence, penalty) pair, optionally constrained to
+    the PSD cone (eigenvalues d >= 0).
 
-    Unsupported pairings are rejected here, at configuration time.  For
-    divergences with nonnegative domain, eig_box bounds are clipped to
-    [0, +inf].
+    Unsupported pairings are rejected here, at configuration time.  Where
+    the domain of phi + psi already forces d >= 0 (Burg, Shannon, noisy
+    Burg, inv_schatten), psd is switched off.  Under a nonnegative domain
+    or psd, eig_box bounds are clipped to [0, +inf].
     """
 
     divergence: Divergence
     penalty: Penalty
+    psd: bool = False
 
     def __post_init__(self):
         d, p = self.divergence, self.penalty
@@ -180,13 +184,16 @@ class ScalarKernel:
             )
         if d.kind == "noisy_burg" and p.kind == "inv_schatten" and p.p != 1.0:
             raise ConfigurationError("noisy_burg supports inv_schatten only with p = 1")
-        if p.kind == "eig_box" and d.kind in _NONNEG_DIVS:
+        nonneg = d.kind in _NONNEG_DIVS or p.kind == "inv_schatten"
+        if p.kind == "eig_box" and (nonneg or self.psd):
             if p.beta < 0:
                 raise ConfigurationError(
-                    f"eig_box upper bound {p.beta} is infeasible for '{d.kind}'"
+                    f"eig_box upper bound {p.beta} is infeasible on d >= 0 ('{d.kind}')"
                 )
             if p.alpha < 0:
                 object.__setattr__(self, "penalty", Penalty.eig_box(0.0, p.beta))
+        if nonneg:
+            object.__setattr__(self, "psd", False)
 
 
 def soft(mu, xi):
@@ -454,8 +461,11 @@ def kernel_eval(k, lam):
 
 
 def kernel_eval_vec(k, lam):
-    """Total phi + psi over an eigenvalue vector."""
+    """Total phi + psi over an eigenvalue vector; +inf outside the domain,
+    which for a PSD kernel is the cone up to eigensolve dust (_psd_ok)."""
     lam = np.asarray(lam, float)
+    if k.psd and not _psd_ok(lam):
+        return math.inf
     v = _phi_sum(k.divergence, lam)
     if math.isinf(v):
         return math.inf
@@ -590,7 +600,7 @@ def kernel_prox(k, gamma, lam):
     """
     if not gamma > 0:
         raise ConfigurationError("gamma must be positive")
-    lam = np.array([float(lam)])
+    lam = np.array([max(float(lam), 0.0) if k.psd else float(lam)])
     if k.penalty.kind == "rank":
         x, margin = _rank_vec(k.divergence, k.penalty, gamma, lam)
         if margin[0] == 0.0 and x[0] != 0.0:
@@ -611,10 +621,16 @@ def kernel_prox(k, gamma, lam):
 def kernel_prox_vec(k, gamma, lam):
     """Prox applied to a whole eigenvalue vector (selection rule applied
     per coordinate for set-valued rows; vector formulas for non-separable
-    penalties)."""
+    penalties).
+
+    A PSD kernel's prox over d >= 0 is the unconstrained prox at
+    max(lam, 0): on every row that keeps psd, phi + psi is even and
+    nondecreasing in each |d_i|, except eig_box, whose lower bound is then
+    at least 0, so that it sends every lam <= 0 to the same point.
+    """
     if not gamma > 0:
         raise ConfigurationError("gamma must be positive")
-    lam = np.asarray(lam, float)
+    lam = np.maximum(lam, 0.0) if k.psd else np.asarray(lam, float)
     pen = k.penalty
     if pen.kind == "fro_norm":
         nrm = float(np.linalg.norm(lam))

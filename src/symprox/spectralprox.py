@@ -2,9 +2,9 @@
 
 Given a kernel (phi, psi), the prox of gamma*(f - trace(T .) + g0) at
 C_bar is obtained by diagonalizing C_bar + gamma*T and applying the
-scalar prox to each eigenvalue; a PSD constraint clips the proxed
-eigenvalues at zero.  Bregman proxes with respect to phi follow the same
-diagonalize/solve/recompose route in the eigenbasis of the anchor.
+scalar prox to each eigenvalue (a PSD constraint is part of the kernel).
+Bregman proxes with respect to phi follow the same diagonalize/solve/
+recompose route in the eigenbasis of the anchor.
 """
 
 import math
@@ -28,13 +28,13 @@ from .symlin import SymMatrix, _eigh_desc, _recompose_raw, as_sym, inner
 
 @dataclass(frozen=True)
 class SpectralProxRequest:
-    """Prox of gamma*(f - trace(T .) + g0) at c_bar, optionally PSD-constrained."""
+    """Prox of gamma*(f - trace(T .) + g0) at c_bar, PSD-constrained when
+    kernel.psd is set."""
 
     kernel: ScalarKernel
     gamma: float
     t: SymMatrix
     c_bar: SymMatrix
-    psd: bool = False
 
     def __post_init__(self):
         if not self.gamma > 0:
@@ -48,8 +48,6 @@ def prox_spectral(req):
     m = req.c_bar.mat + req.gamma * req.t.mat
     u, lam = _eigh_desc(m)
     d = kernel_prox_vec(req.kernel, req.gamma, lam)
-    if req.psd:
-        d = np.maximum(d, 0.0)
     return SymMatrix(_recompose_raw(u, d), strict=False)
 
 

@@ -3,8 +3,8 @@
 f and g0 are spectral (a ScalarKernel pairing); g1 is mu1 times the
 elementwise l1 norm of the matrix (diagonal included).  Each iteration
 diagonalizes C + gamma*T, applies the scalar prox to the eigenvalues
-(clipped at zero under a PSD constraint), then takes the relaxed
-reflected step through the elementwise soft threshold.
+(over d >= 0 under a PSD constraint), then takes the relaxed reflected
+step through the elementwise soft threshold.
 
 Convergence is monitored through the objective at the shadow sequence
 C^(k+1/2), which is the sequence that converges to a solution; the run
@@ -18,14 +18,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, InvalidInputError
-from .scalarprox import Divergence, Penalty, ScalarKernel, _phi_sum, _psi_sum, kernel_prox_vec, soft
-from .symlin import EigenDecomp, SymMatrix, _eigh_desc, _psd_ok, _recompose_raw, as_sym, format_float, write_csv
+from .scalarprox import Divergence, Penalty, ScalarKernel, kernel_eval_vec, kernel_prox_vec, soft
+from .symlin import EigenDecomp, SymMatrix, _eigh_desc, _recompose_raw, as_sym, format_float, write_csv
 
 
 @dataclass(frozen=True)
 class ObjectiveSpec:
     """Full problem description: divergence f, linear term T, spectral
-    penalty g0, l1 weight mu1, optional PSD constraint."""
+    penalty g0, l1 weight mu1, optional PSD constraint (passed on to kernel)."""
 
     divergence: Divergence
     t: SymMatrix
@@ -36,11 +36,11 @@ class ObjectiveSpec:
     def __post_init__(self):
         if self.mu1 < 0:
             raise ConfigurationError("mu1 must be nonnegative")
-        ScalarKernel(self.divergence, self.g0)  # reject unsupported pairings early
+        ScalarKernel(self.divergence, self.g0, self.psd)  # reject unsupported pairings early
 
     @property
     def kernel(self):
-        return ScalarKernel(self.divergence, self.g0)
+        return ScalarKernel(self.divergence, self.g0, self.psd)
 
 
 @dataclass(frozen=True)
@@ -94,32 +94,18 @@ def prox_l1_matrix(tau, m):
 
 
 def objective_eval(spec, c):
-    """f(C) - trace(TC) + g0(C) + mu1*||C||_1, +inf outside domains.
-
-    The PSD indicator (when spec.psd) tolerates eigenvalue dust down to
-    -1e-10 relative, matching what the recomposition step can introduce.
-    """
+    """f(C) - trace(TC) + g0(C) + mu1*||C||_1, +inf outside domains
+    (the PSD cone included when spec.psd, as kernel_eval_vec checks it)."""
     c = as_sym(c)
-    lam = np.linalg.eigvalsh(c.mat)
-    if spec.psd and not _psd_ok(lam):
-        return math.inf
-    return _objective_from_d(spec, lam, c.mat)
+    return _objective_from_d(spec, spec.kernel, np.linalg.eigvalsh(c.mat), c.mat)
 
 
-def _objective_from_d(spec, d, chalf):
-    # objective at the matrix chalf, given its eigenvalues d
-    v = _phi_sum(spec.divergence, d)
+def _objective_from_d(spec, kernel, d, chalf):
+    # objective at the matrix chalf, given its eigenvalues d and spec.kernel
+    v = kernel_eval_vec(kernel, d)
     if math.isinf(v):
         return math.inf
-    w = _psi_sum(spec.g0, d)
-    if math.isinf(w):
-        return math.inf
-    return (
-        v
-        - float(np.sum(spec.t.mat * chalf))
-        + w
-        + spec.mu1 * float(np.abs(chalf).sum())
-    )
+    return v - float(np.sum(spec.t.mat * chalf)) + spec.mu1 * float(np.abs(chalf).sum())
 
 
 def dr_solve(spec, cfg, c0, check_start=True):
@@ -144,16 +130,11 @@ def dr_solve(spec, cfg, c0, check_start=True):
     residuals = []
     f_prev = None
     stop_reason = "max_iter"
-    chalf = c
-    sparse = c
-    state = c
     for _ in range(cfg.max_iter):
         u, lam = _eigh_desc(c + g * tmat)
         d = kernel_prox_vec(kernel, g, lam)
-        if spec.psd:
-            d = np.maximum(d, 0.0)
         chalf = _recompose_raw(u, d)
-        f_cur = _objective_from_d(spec, d, chalf)
+        f_cur = _objective_from_d(spec, kernel, d, chalf)
         obj_trace.append(f_cur)
         sparse = soft(tau, 2.0 * chalf - c)
         c_next = c + cfg.alpha * (sparse - chalf)
@@ -162,15 +143,13 @@ def dr_solve(spec, cfg, c0, check_start=True):
             abs(f_prev), 1e-300
         ):
             stop_reason = "tolerance"
-            state = c  # pre-update governing iterate, the warm-start handle
-            break
+            break  # c stays the pre-update governing iterate, the warm-start handle
         f_prev = f_cur
         c = c_next
-        state = c
     return SolveReport(
         c_final=SymMatrix(chalf, strict=False),
         c_sparse=SymMatrix(sparse, strict=False),
-        c_state=SymMatrix(state, strict=False),
+        c_state=SymMatrix(c, strict=False),
         c_final_eig=EigenDecomp(u=u, lam=d),
         objective_trace=obj_trace,
         fixed_point_residuals=residuals,

@@ -78,16 +78,11 @@ class EigenDecomp:
 def _eigh_desc(mat):
     """Eigendecomposition of a symmetric ndarray, eigenvalues descending.
 
-    Eigenvector signs are fixed by making the largest-magnitude component
-    of each column positive, so repeated calls are reproducible.
+    Eigenvector signs are LAPACK's: every use (U diag(d) U^T, u_i^T S u_i)
+    is invariant under them.
     """
     w, v = np.linalg.eigh(mat)
-    w = w[::-1].copy()
-    v = v[:, ::-1]
-    idx = np.argmax(np.abs(v), axis=0)
-    signs = np.sign(v[idx, np.arange(v.shape[1])])
-    signs[signs == 0.0] = 1.0
-    return np.ascontiguousarray(v * signs), w
+    return np.ascontiguousarray(v[:, ::-1]), w[::-1].copy()
 
 
 def eig_sym(a):

@@ -46,6 +46,20 @@ def test_prox_missing_matrix_exit2(tmp_path, capsys):
     assert "matrix" in capsys.readouterr().err
 
 
+def test_prox_psd_is_the_constrained_prox(tmp_path, capsys):
+    # fro_norm couples the eigenvalues: clipping the unconstrained prox
+    # diag(1.2, -1.6) would give diag(1.2, 0) at objective 11.54
+    m = tmp_path / "m.csv"
+    write_matrix_csv(np.diag([3.0, -4.0]), m)
+    out = tmp_path / "out"
+    rc = run(["prox", "--matrix", str(m), "--kernel", "penalty=fro mu=1", "--psd",
+              "--out", str(out)])
+    assert rc == 0
+    assert np.allclose(read_matrix_csv(out / "result.csv").mat, np.diag([1.0, 0.0]), atol=1e-15)
+    obj = float(re.search(r"objective=(\S+)", capsys.readouterr().out).group(1))
+    assert obj == pytest.approx(11.5, rel=1e-15)
+
+
 def test_prox_output_roundtrips_exactly(tmp_path):
     rng = np.random.default_rng(0)
     a = rng.normal(size=(5, 5))
@@ -93,6 +107,16 @@ def test_gen_invalid_params_exit2(tmp_path, capsys):
     assert "blocks" in capsys.readouterr().err
     rc = run(["gen", "--scenario", "glasso", "--n", "10", "--p", "2.0", "--out", str(tmp_path)])
     assert rc == 2  # density outside (0, 1) is a configuration error
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--scenario", "cov"], ["gen", "--scenario", "glasso"], ["solve-cov"], ["solve-glasso"],
+])
+def test_sigma_list_is_bench_only_exit2(tmp_path, capsys, argv):
+    rc = run([*argv, "--sigma", "0.1,0.3", "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "key 'sigma' takes one value" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_solve_cov_smoke(tmp_path, capsys):

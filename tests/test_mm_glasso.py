@@ -329,6 +329,33 @@ def test_mm_descent_guard_aborts_on_real_violation(monkeypatch):
         mm.mm_solve(prob)
 
 
+def test_mm_sparse_shadow_comes_from_the_published_step(monkeypatch):
+    import symprox.mm_glasso as mm
+
+    prob, _, _ = _problem(n=6, sigma=0.2, seed=20)
+    real_dr = mm.dr_solve
+    reps = []
+
+    def recording_dr(spec, cfg, c0, check_start=True):
+        reps.append(real_dr(spec, cfg, c0, check_start=check_start))
+        return reps[-1]
+
+    monkeypatch.setattr(mm, "dr_solve", recording_dr)
+    c0 = mm.default_init(prob)
+    # F at the start, then per inner solve; the last step is a hair uphill,
+    # inside the outer tolerance, so it is not published
+    for values, published in (([10.0, 9.0, 9.0 + 1e-9], 1), ([10.0, 10.0 + 1e-9], 0)):
+        reps.clear()
+        monkeypatch.setattr(mm, "objective_F", lambda prob, c, it=iter(values): next(it))
+        rep = mm.mm_solve(prob, c0=c0)
+        assert rep.stop_reason == "tolerance" and len(reps) == published + 1
+        assert rep.outer_objectives == values[: published + 1]
+        if published:
+            assert rep.c_final is reps[-2].c_final and rep.c_sparse is reps[-2].c_sparse
+        else:
+            assert rep.c_final is c0 and rep.c_sparse is c0
+
+
 def test_mm_config_defaults():
     cfg = MMConfig()
     assert cfg.inner.eps == 1e-10

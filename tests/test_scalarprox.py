@@ -19,6 +19,7 @@ from symprox import (
     bregman_prox,
     hard,
     kernel_eval,
+    kernel_eval_vec,
     kernel_prox,
     kernel_prox_vec,
     lambert_w,
@@ -762,6 +763,28 @@ def test_eig_box_clipped_for_positive_divergences():
     assert k.penalty.alpha == 0.0
     with pytest.raises(ConfigurationError):
         ScalarKernel(BURG, Penalty.eig_box(-2.0, -1.0))
+    # a PSD kernel clips the same way
+    k = ScalarKernel(HS, Penalty.eig_box(-0.5, 1.5), psd=True)
+    assert k.penalty.alpha == 0.0 and k.psd
+    with pytest.raises(ConfigurationError):
+        ScalarKernel(HS, Penalty.eig_box(-1.0, -0.5), psd=True)
+
+
+def test_psd_kernel_rule():
+    # psd is off where the domain already forces d >= 0
+    for div, pen in ((BURG, Penalty.none()), (SHANNON, Penalty.none()),
+                     (Divergence.noisy_burg(0.2), Penalty.none()), (HS, Penalty.inv_schatten(0.5, 1.0))):
+        assert not ScalarKernel(div, pen, psd=True).psd
+    lam = np.array([1.5, 0.2, -0.3, -2.0])
+    for pen in (Penalty.nuclear(0.4), Penalty.schatten(0.3, 3.0), Penalty.rank(0.1),
+                Penalty.cauchy(0.5, 0.2), Penalty.fro_norm(0.5), Penalty.spectral_norm(0.5)):
+        k = ScalarKernel(HS, pen, psd=True)
+        d = kernel_prox_vec(k, 0.8, lam)
+        assert np.array_equal(d, kernel_prox_vec(ScalarKernel(HS, pen), 0.8, np.maximum(lam, 0.0)))
+        assert d.min() >= 0.0
+        assert kernel_prox(k, 0.8, -2.0) == (0.0,)
+        assert kernel_eval_vec(k, d) < math.inf
+        assert kernel_eval_vec(k, np.array([1.0, -1e-3])) == math.inf
 
 
 def test_penalty_validation():

@@ -14,6 +14,7 @@ from symprox import (
     bregman_div,
     bregman_prox,
     eig_sym,
+    kernel_eval_vec,
     kernel_prox,
     prox_spectral,
     soft,
@@ -26,21 +27,36 @@ BURG = Divergence.burg()
 SHANNON = Divergence.shannon()
 
 
-def _request(kernel, gamma, tmat, cmat, psd=False):
+def _request(kernel, gamma, tmat, cmat):
+    # a PSD constraint is part of the kernel (ScalarKernel(..., psd=True))
     return SpectralProxRequest(
         kernel=kernel,
         gamma=gamma,
         t=SymMatrix(tmat, strict=False),
         c_bar=SymMatrix(cmat, strict=False),
-        psd=psd,
     )
 
 
 def _matrix_objective(kernel, gamma, tmat, cmat, out):
-    """Independent evaluation of phi + psi - tr(TC) + ||C - C_bar||^2/(2 gamma)."""
+    """Independent evaluation of phi + psi - tr(TC) + ||C - C_bar||^2/(2 gamma),
+    with the whole-vector penalties on the eigenvalue vector.  The PSD cone
+    of a PSD kernel is taken from kernel_eval_vec, +inf outside it."""
     lam = np.linalg.eigvalsh(out)
+    if kernel.psd and math.isinf(kernel_eval_vec(kernel, lam)):
+        return math.inf
     phi = float(np.sum(phi_value(kernel.divergence.kind, kernel.divergence.sigma2, lam)))
-    psi = float(np.sum(psi_value(kernel.penalty, lam)))
+    pen = kernel.penalty
+    if pen.kind == "fro_norm":
+        psi = pen.mu * float(np.linalg.norm(lam))
+    elif pen.kind == "fro_ball":
+        psi = 0.0 if np.linalg.norm(lam) <= pen.alpha + 1e-9 else math.inf
+    elif pen.kind == "spectral_norm":
+        psi = pen.mu * float(np.abs(lam).max())
+    elif pen.kind == "eig_box":
+        # recomposition dust at a bound the prox sits on
+        psi = 0.0 if lam.min() >= pen.alpha - 1e-9 and lam.max() <= pen.beta + 1e-9 else math.inf
+    else:
+        psi = float(np.sum(psi_value(pen, lam)))
     return (
         phi
         + psi
@@ -83,16 +99,31 @@ def test_random_search_cannot_beat_prox_n3():
         ScalarKernel(HS, Penalty.nuclear(0.5)),
         ScalarKernel(BURG, Penalty.nuclear(0.3)),
         ScalarKernel(SHANNON, Penalty.fro_squared(0.4)),
+        ScalarKernel(HS, Penalty.nuclear(0.5), psd=True),
+        ScalarKernel(HS, Penalty.fro_norm(0.5), psd=True),
+        ScalarKernel(HS, Penalty.fro_ball(0.5), psd=True),
+        ScalarKernel(HS, Penalty.spectral_norm(0.5), psd=True),
+        ScalarKernel(HS, Penalty.eig_box(-0.5, 1.5), psd=True),
     ]
     for k in kernels:
         cbar = rand_sym(rng, 3) + 2.0 * np.eye(3)
+        if k.psd:
+            # mixed signs, the negative eigenvalue largest in magnitude: the
+            # cone binds, and on the whole-vector rows it couples the eigenvalues
+            q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+            cbar = (q * [1.0, -0.5, -2.0]) @ q.T
         tmat = rand_sym(rng, 3, scale=0.5)
         g = 0.9
+        lam = np.linalg.eigvalsh(cbar + g * tmat)
+        assert not k.psd or (lam[0] < -0.1 and 0.1 < lam[-1] < -lam[0])
         out = prox_spectral(_request(k, g, tmat, cbar)).mat
         f_out = _matrix_objective(k, g, tmat, cbar, out)
         for _ in range(10000):
             trial = out + rand_sym(rng, 3, scale=rng.uniform(0.001, 1.0))
-            assert f_out <= _matrix_objective(k, g, tmat, cbar, trial) + 1e-8
+            # a random step mostly leaves the cone; its projection stays in it
+            w, v = np.linalg.eigh(trial)
+            for x in (trial, (v * np.maximum(w, 0.0)) @ v.T) if k.psd else (trial,):
+                assert f_out <= _matrix_objective(k, g, tmat, cbar, x) + 1e-8
 
 
 def test_orthogonal_equivariance():
@@ -120,7 +151,7 @@ def test_output_commutes_with_input():
 def test_psd_clips_eigenvalues():
     rng = np.random.default_rng(5)
     cbar = rand_sym(rng, 6) - 2.0 * np.eye(6)
-    req = _request(ScalarKernel(HS, Penalty.nuclear(0.2)), 1.0, np.zeros((6, 6)), cbar, psd=True)
+    req = _request(ScalarKernel(HS, Penalty.nuclear(0.2), psd=True), 1.0, np.zeros((6, 6)), cbar)
     out = prox_spectral(req)
     assert np.linalg.eigvalsh(out.mat)[0] >= -1e-12
 

@@ -32,7 +32,7 @@ def test_eig_identity():
 def test_eig_diagonal_sorted():
     e = eig_sym(np.diag([3.0, 1.0]))
     assert np.allclose(e.lam, [3.0, 1.0])
-    # eigenvectors are a signed permutation; the sign convention makes them +1
+    # eigenvectors are a signed permutation
     assert np.allclose(np.abs(e.u), np.eye(2))
 
 
