@@ -83,6 +83,9 @@ _DEFAULTS = {
     },
 }
 
+# The keys that only describe how 'gen' draws a dataset; 'data' supplies one instead.
+_GENERATING = ("n", "blocks", "p", "sigma", "nsamples", "seed")
+
 # A key's kind is the type of its non-None defaults; keys without one are strings.
 _KIND = {k: type(v) for cmd in _DEFAULTS.values() for k, v in cmd.items() if v is not None}
 
@@ -104,7 +107,8 @@ _HELP = {
     "gamma": "prox scale gamma",
     "alpha": "relaxation in (0, 2)",
     "eps": "relative-objective tolerance",
-    "max_iter": "iteration cap",
+    "max_iter": "iteration cap (Douglas-Rachford map evaluations)",
+    "anderson": "Anderson acceleration memory (0: plain Douglas-Rachford)",
     "reps": "replications per sigma",
     "method": "comma-separated subset of mm,glasso,dr-noisy",
     "wall_times": "record wall-clock seconds (breaks byte-determinism of results.csv)",
@@ -151,6 +155,10 @@ def _effective(cmd, args):
             eff[key] = _coerce(key, cfgfile[key])
         else:
             eff[key] = dflt
+    if eff.get("data"):
+        for key in _GENERATING:
+            if key in defaults and (getattr(args, key) is not None or key in cfgfile):
+                raise ConfigurationError(f"key '{key}' generates a dataset and cannot be combined with 'data'")
     return eff
 
 

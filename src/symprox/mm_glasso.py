@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DomainError, InvalidInputError, NumericError
 from .scalarprox import Divergence, Penalty, ScalarKernel, _phi_sum, kernel_eval_vec
-from .splitting import DRConfig, ObjectiveSpec, SolveReport, dr_solve
+from .splitting import DRConfig, ObjectiveSpec, SolveReport, _rel_change_within, dr_solve
 from .symlin import EigenDecomp, SymMatrix, _psd_ok, _recompose_raw, as_sym, eig_sym, inner, recompose, spd_inverse
 
 
@@ -62,7 +62,7 @@ class NoisyGlassoProblem:
 @dataclass(frozen=True)
 class MMConfig:
     inner: DRConfig = field(
-        default_factory=lambda: DRConfig(gamma=1.0, alpha=1.0, eps=1e-10, max_iter=2000)
+        default_factory=lambda: DRConfig(gamma=1.0, alpha=1.0, eps=1e-10, max_iter=2000, anderson=3)
     )
     outer_eps: float = 1e-8
     outer_max: int = 20
@@ -189,7 +189,7 @@ def mm_solve(prob, cfg=None, c0=None):
         state = rep.c_state
         f_new = objective_F(prob, rep.c_final_eig)
         inner_iters.append(rep.iterations)
-        if abs(f_new - f_prev) <= cfg.outer_eps * max(abs(f_prev), 1e-300):
+        if _rel_change_within(f_new, f_prev, cfg.outer_eps):
             # converged; never publish an uphill step (finite inner-solver
             # resolution can wiggle F upward by less than the tolerance)
             if f_new <= f_prev:

@@ -8,7 +8,9 @@ step through the elementwise soft threshold.
 
 Convergence is monitored through the objective at the shadow sequence
 C^(k+1/2), which is the sequence that converges to a solution; the run
-stops when its relative change drops below the tolerance.
+stops when its relative change drops below the tolerance.  The iteration
+can be accelerated by safeguarded type-II Anderson extrapolation
+(DRConfig.anderson).
 """
 
 import itertools
@@ -46,12 +48,15 @@ class ObjectiveSpec:
 @dataclass(frozen=True)
 class DRConfig:
     """gamma: prox scale; alpha: constant relaxation in (0, 2);
-    eps: relative-objective stopping tolerance; max_iter: iteration cap."""
+    eps: relative-objective stopping tolerance; max_iter: cap on the
+    evaluations of the DR map; anderson: Anderson history length m
+    (0 runs plain Douglas-Rachford)."""
 
     gamma: float = 1.0
     alpha: float = 1.5
     eps: float = 1e-10
     max_iter: int = 2000
+    anderson: int = 0
 
     def __post_init__(self):
         if not self.gamma > 0:
@@ -62,6 +67,8 @@ class DRConfig:
             raise ConfigurationError("eps must be nonnegative")
         if not self.max_iter >= 1:
             raise ConfigurationError("max_iter must be positive")
+        if not (self.anderson >= 0 and self.anderson == int(self.anderson)):
+            raise ConfigurationError("anderson must be a nonnegative integer")
 
 
 @dataclass
@@ -73,6 +80,9 @@ class SolveReport:
     which carries exact zeros and is the natural support estimate;
     c_state is the governing iterate C^(k), the warm-start handle;
     c_final_eig is the EigenDecomp (u, d) c_final was recomposed from.
+    The traces hold one entry per evaluation of the DR map (one
+    eigendecomposition each), rejected Anderson candidates included;
+    anderson_rejected counts those.
     """
 
     c_final: SymMatrix
@@ -83,6 +93,7 @@ class SolveReport:
     fixed_point_residuals: list = field(default_factory=list)
     iterations: int = 0
     stop_reason: str = "max_iter"
+    anderson_rejected: int = 0
 
 
 def prox_l1_matrix(tau, m):
@@ -108,12 +119,81 @@ def _objective_from_d(spec, kernel, d, chalf):
     return v - float(np.sum(spec.t.mat * chalf)) + spec.mu1 * float(np.abs(chalf).sum())
 
 
+def _rel_change_within(f_new, f_prev, eps):
+    """The DR and MM stop test: |f_new - f_prev| <= eps * |f_prev|."""
+    return abs(f_new - f_prev) <= eps * max(abs(f_prev), 1e-300)
+
+
+def _dr_step(spec, kernel, cfg, c):
+    """One evaluation of the DR map at the governing iterate c, with one
+    eigendecomposition: the eigenpairs (u, d) of the shadow chalf, its
+    objective f, the soft-threshold shadow and the step r = T(c) - c."""
+    g = cfg.gamma
+    u, lam = _eigh_desc(c + g * spec.t.mat)
+    d = kernel_prox_vec(kernel, g, lam)
+    chalf = _recompose_raw(u, d)
+    f = _objective_from_d(spec, kernel, d, chalf)
+    sparse = soft(g * spec.mu1, 2.0 * chalf - c)
+    return u, d, chalf, f, sparse, cfg.alpha * (sparse - chalf)
+
+
+class _Anderson:
+    """Type-II Anderson extrapolation of the DR map (Fu, Zhang and Boyd,
+    "Anderson accelerated Douglas-Rachford splitting", SIAM J. Sci. Comput.
+    2020) over the last m accepted steps.
+
+    With p = c + r the plain step from the last accepted point c, the
+    candidate is p - dP^T w, where w minimizes ||r - dR^T w|| and the rows
+    of dP and dR are the differences of p and r between consecutive
+    accepted points.  The rows live in two preallocated float32 ring
+    buffers, each difference taken in float64 and rounded once; the Gram
+    matrix dR dR^T gains one row per accepted step.  Only the weights w and
+    the correction dP^T w see float32 arithmetic: the candidate and every
+    map evaluation stay float64.
+    """
+
+    def __init__(self, m, size):
+        self.dp = np.empty((m, size), np.float32)
+        self.dr = np.empty((m, size), np.float32)
+        self.gram = np.empty((m, m))
+        self.pushed = 0  # pairs stored since the last clear
+
+    @property
+    def size(self):
+        return min(self.pushed, len(self.dp))
+
+    def clear(self):
+        self.pushed = 0
+
+    def push(self, p, p_prev, r, r_prev):
+        j = self.pushed % len(self.dp)
+        np.subtract(p.ravel(), p_prev.ravel(), out=self.dp[j])
+        np.subtract(r.ravel(), r_prev.ravel(), out=self.dr[j])
+        self.pushed += 1
+        k = self.size
+        self.gram[:k, j] = self.gram[j, :k] = self.dr[:k] @ self.dr[j]
+
+    def candidate(self, p, r):
+        k = self.size
+        rhs = self.dr[:k] @ r.ravel().astype(np.float32)
+        w = np.linalg.lstsq(self.gram[:k, :k], rhs, rcond=None)[0]
+        return p - (w.astype(np.float32) @ self.dp[:k]).reshape(p.shape)
+
+
 def dr_solve(spec, cfg, c0, check_start=True):
     """Run the Douglas-Rachford iteration from c0.
 
     check_start validates that the objective is finite at c0; callers that
     warm-start from a previous run's governing iterate (which may sit
     outside the domain of f) disable it.
+
+    With cfg.anderson = m > 0 each step after the first tries the Anderson
+    candidate built from the last m accepted steps and keeps it only if its
+    fixed-point residual is no larger than the last accepted point's (the
+    safeguard); otherwise the history is cleared and the plain step is taken
+    from that point.  The budget's last evaluation is always a plain step.
+    The stop rule compares consecutive accepted evaluations.  With m = 0
+    every evaluation is accepted and the loop is plain Douglas-Rachford.
     """
     c0 = as_sym(c0)
     if c0.n != spec.t.n:
@@ -121,40 +201,44 @@ def dr_solve(spec, cfg, c0, check_start=True):
     if check_start and not math.isfinite(objective_eval(spec, c0)):
         raise InvalidInputError("invalid start: objective is not finite at c0")
     kernel = spec.kernel
-    g = cfg.gamma
-    tau = g * spec.mu1
-    tmat = spec.t.mat
-    c = c0.mat.copy()
+    hist = _Anderson(cfg.anderson, c0.mat.size) if cfg.anderson else None
+    x = c0.mat.copy()
 
     obj_trace = []
     residuals = []
-    f_prev = None
+    f_prev = res_prev = p_prev = r_prev = None  # of the last accepted evaluation
+    extrapolated = False
+    rejected = 0
     stop_reason = "max_iter"
-    for _ in range(cfg.max_iter):
-        u, lam = _eigh_desc(c + g * tmat)
-        d = kernel_prox_vec(kernel, g, lam)
-        chalf = _recompose_raw(u, d)
-        f_cur = _objective_from_d(spec, kernel, d, chalf)
-        obj_trace.append(f_cur)
-        sparse = soft(tau, 2.0 * chalf - c)
-        c_next = c + cfg.alpha * (sparse - chalf)
-        residuals.append(float(np.linalg.norm(c_next - c)))
-        if f_prev is not None and abs(f_cur - f_prev) <= cfg.eps * max(
-            abs(f_prev), 1e-300
-        ):
-            stop_reason = "tolerance"
-            break  # c stays the pre-update governing iterate, the warm-start handle
-        f_prev = f_cur
-        c = c_next
+    for k in range(cfg.max_iter):
+        u, d, chalf, f, sparse, r = _dr_step(spec, kernel, cfg, x)
+        p = x + r
+        res = float(np.linalg.norm(p - x))
+        obj_trace.append(f)
+        residuals.append(res)
+        if extrapolated and not res <= res_prev:
+            rejected += 1
+            hist.clear()
+        else:
+            if f_prev is not None and _rel_change_within(f, f_prev, cfg.eps):
+                stop_reason = "tolerance"
+                break  # x stays the pre-update governing iterate, the warm-start handle
+            if hist is not None and p_prev is not None:
+                hist.push(p, p_prev, r, r_prev)
+            f_prev, res_prev, p_prev, r_prev = f, res, p, r
+        extrapolated = hist is not None and hist.size > 0 and k < cfg.max_iter - 2
+        x = hist.candidate(p_prev, r_prev) if extrapolated else p_prev
+    del hist, p, r, p_prev, r_prev  # free the loop's storage before the report copies
     return SolveReport(
         c_final=SymMatrix(chalf, strict=False),
         c_sparse=SymMatrix(sparse, strict=False),
-        c_state=SymMatrix(c, strict=False),
+        c_state=SymMatrix(x, strict=False),
         c_final_eig=EigenDecomp(u=u, lam=d),
         objective_trace=obj_trace,
         fixed_point_residuals=residuals,
         iterations=len(obj_trace),
         stop_reason=stop_reason,
+        anderson_rejected=rejected,
     )
 
 

@@ -119,6 +119,29 @@ def test_sigma_list_is_bench_only_exit2(tmp_path, capsys, argv):
     assert not (tmp_path / "o").exists()
 
 
+def test_negative_anderson_exit2(tmp_path, capsys):
+    rc = run(["solve-cov", "--n", "8", "--blocks", "3,5", "--anderson", "-1",
+              "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "anderson" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [("sigma", "0.1,0.3"), ("seed", "3"), ("n", "8")])
+@pytest.mark.parametrize("where", ["flag", "config"])
+def test_data_with_a_generating_key_exit2(tmp_path, capsys, key, value, where):
+    ds = tmp_path / "ds"
+    assert run(["gen", "--scenario", "cov", "--n", "8", "--blocks", "3,5", "--seed", "1",
+                "--out", str(ds)]) == 0
+    capsys.readouterr()
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key}={value}\n")
+    given = ["--" + key, value] if where == "flag" else ["--config", str(cfg)]
+    rc = run(["solve-cov", "--data", str(ds), *given, "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert f"key '{key}' generates a dataset" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_solve_cov_smoke(tmp_path, capsys):
     ds = tmp_path / "ds"
     assert run([
@@ -330,7 +353,7 @@ def test_solve_cov_reference_scale(tmp_path):
 # every other key is a string.
 _KINDS = {
     **dict.fromkeys(("gamma", "alpha", "eps", "mu0", "mu1", "p", "outer_eps", "support_tol"), float),
-    **dict.fromkeys(("n", "nsamples", "seed", "max_iter", "outer_max", "reps"), int),
+    **dict.fromkeys(("n", "nsamples", "seed", "max_iter", "anderson", "outer_max", "reps"), int),
     **dict.fromkeys(("psd", "wall_times"), bool),
 }
 _SAMPLES = {float: ("0.25", 0.25), int: ("7", 7), bool: ("yes", True), str: ("x,y", "x,y")}

@@ -400,6 +400,15 @@ def test_dr_noisy_baseline_runs():
     assert np.linalg.eigvalsh(rep.c_final.mat)[0] > 0
 
 
+def _l1_violation(grad, c, mu1):
+    # worst violation of grad + mu1*sign(C) = 0 on the support of c, |grad| <= mu1 off it
+    on = c != 0.0
+    return max(
+        np.abs(grad[on] + mu1 * np.sign(c[on])).max(initial=0.0),
+        (np.abs(grad[~on]) - mu1).max(initial=0.0),
+    )
+
+
 @pytest.mark.parametrize("n", [30, 60])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_glasso_solve_meets_kkt_beyond_n5(n, seed):
@@ -412,10 +421,30 @@ def test_glasso_solve_meets_kkt_beyond_n5(n, seed):
     assert rep.stop_reason == "tolerance"
     np.linalg.cholesky(rep.c_final.mat)
     grad = s.mat - np.linalg.inv(rep.c_final.mat)
-    c = rep.c_sparse.mat
-    on = c != 0.0
-    worst = max(
-        np.abs(grad[on] + mu1 * np.sign(c[on])).max(initial=0.0),
-        (np.abs(grad[~on]) - mu1).max(initial=0.0),
-    )
-    assert worst <= 1e-5 * mu1
+    assert _l1_violation(grad, rep.c_sparse.mat, mu1) <= 1e-5 * mu1
+
+
+def test_anderson_halves_the_evaluations_at_n100():
+    # the benchmark's mm_n100 instance at sample seed 7919; at n = 30 and 40
+    # the ratio sits near 1/2 (0.44-0.59 on seeds 0-5 of this file's
+    # instances), so it is not asserted there
+    mu0, mu1, sigma2 = 0.005, 0.05, 0.04
+    s = empirical_cov(sample_gaussian(spd_inverse(gen_sparse_precision(100, 1e-3, 0)), 0.2, 1000, 7919))
+    plain = DRConfig(gamma=1.0, alpha=1.0, eps=1e-10, max_iter=2000)
+
+    gl, gl_plain = glasso_solve(s, mu1), glasso_solve(s, mu1, cfg=plain)
+    assert gl.stop_reason == "tolerance" and 2 * gl.iterations <= gl_plain.iterations
+    assert _l1_violation(s.mat - np.linalg.inv(gl.c_final.mat), gl.c_sparse.mat, mu1) <= 1e-5 * mu1
+    assert gl.objective_trace[-1] <= gl_plain.objective_trace[-1] + 1e-10 * abs(gl_plain.objective_trace[-1])
+
+    prob = NoisyGlassoProblem(s=s, sigma2=sigma2, mu0=mu0, mu1=mu1)
+    mm, mm_plain = mm_solve(prob), mm_solve(prob, MMConfig(inner=plain))
+    assert mm.stop_reason == "tolerance"
+    assert 2 * sum(mm.inner_iterations) <= sum(mm_plain.inner_iterations)
+    assert mm.outer_objectives[-1] <= mm_plain.outer_objectives[-1] + 1e-10 * abs(mm_plain.outer_objectives[-1])
+    # first-order stationarity of F on the support of the sparse estimate
+    c = mm.c_final.mat
+    ci = np.linalg.inv(c)
+    bi = np.linalg.inv(np.eye(100) + sigma2 * c)
+    grad = -ci + sigma2 * bi + bi @ s.mat @ bi - mu0 * ci @ ci
+    assert _l1_violation(grad, mm.c_sparse.mat, mu1) <= 1e-3 * mu1

@@ -17,12 +17,16 @@ from symprox import (
     soft,
     write_trace_csv,
 )
+from symprox import ConfigurationError, MMConfig, splitting
 from symprox.experiments import (
     BlockSpec,
     empirical_cov,
     gen_block_lowrank_cov,
     sample_gaussian,
 )
+from symprox.scalarprox import kernel_prox_vec
+from symprox.splitting import _objective_from_d
+from symprox.symlin import _eigh_desc, _recompose_raw
 
 from _oracles import phi_value, projected_subgradient_cov, psi_value, rand_sym
 
@@ -216,3 +220,89 @@ def test_config_validation():
         DRConfig(max_iter=0)
     with pytest.raises(Exception):
         ObjectiveSpec(divergence=BURG, t=_zeros(2), g0=Penalty.rank(0.5))
+
+
+def _plain_dr(spec, cfg, c0):
+    # the plain Douglas-Rachford recurrence, written out apart from dr_solve
+    kernel, g, c = spec.kernel, cfg.gamma, c0.mat.copy()
+    objs, res, f_prev = [], [], None
+    for _ in range(cfg.max_iter):
+        u, lam = _eigh_desc(c + g * spec.t.mat)
+        d = kernel_prox_vec(kernel, g, lam)
+        chalf = _recompose_raw(u, d)
+        f = _objective_from_d(spec, kernel, d, chalf)
+        objs.append(f)
+        sparse = soft(g * spec.mu1, 2.0 * chalf - c)
+        c_next = c + cfg.alpha * (sparse - chalf)
+        res.append(float(np.linalg.norm(c_next - c)))
+        if f_prev is not None and abs(f - f_prev) <= cfg.eps * max(abs(f_prev), 1e-300):
+            return chalf, sparse, c, objs, res, "tolerance"
+        f_prev, c = f, c_next
+    return chalf, sparse, c, objs, res, "max_iter"
+
+
+@pytest.mark.parametrize("max_iter", [15, 2000])
+def test_anderson_zero_is_the_plain_recurrence(max_iter):
+    spec, s, _ = _cov_spec(8, 0.1, seed=4)
+    c0 = SymMatrix(s.mat + np.eye(8), strict=False)
+    cfg = DRConfig(gamma=1.0, alpha=1.5, eps=1e-10, max_iter=max_iter)
+    rep = dr_solve(spec, cfg, c0)
+    chalf, sparse, c, objs, res, stop = _plain_dr(spec, cfg, c0)
+    assert rep.stop_reason == stop
+    assert rep.objective_trace == objs and rep.fixed_point_residuals == res
+    assert rep.iterations == len(objs) and rep.anderson_rejected == 0
+    np.testing.assert_array_equal(rep.c_final.mat, SymMatrix(chalf, strict=False).mat)
+    np.testing.assert_array_equal(rep.c_sparse.mat, SymMatrix(sparse, strict=False).mat)
+    np.testing.assert_array_equal(rep.c_state.mat, SymMatrix(c, strict=False).mat)
+
+
+@pytest.mark.parametrize("max_iter", [25, 2000])
+def test_rejected_candidates_fall_back_to_plain_dr(monkeypatch, max_iter):
+    # every Anderson candidate fails the safeguard (its evaluation reports an
+    # infinite step), so the accepted iterates are plain DR's and the
+    # rejected evaluations only add to the count
+    spec, s, _ = _cov_spec(8, 0.1, seed=4)
+    c0 = SymMatrix(s.mat + np.eye(8), strict=False)
+    candidates = []
+    make, step = splitting._Anderson.candidate, splitting._dr_step
+
+    def candidate(self, p, r):
+        candidates.append(make(self, p, r))
+        return candidates[-1]
+
+    def rejected_step(spec, kernel, cfg, c):
+        out = step(spec, kernel, cfg, c)
+        if any(c is cand for cand in candidates):
+            return (*out[:5], np.full_like(out[5], np.inf))
+        return out
+
+    monkeypatch.setattr(splitting._Anderson, "candidate", candidate)
+    monkeypatch.setattr(splitting, "_dr_step", rejected_step)
+    cfg = DRConfig(gamma=1.0, alpha=1.5, eps=1e-10, max_iter=max_iter, anderson=3)
+    rep = dr_solve(spec, cfg, c0)
+    assert rep.anderson_rejected == len(candidates) > 0
+    assert rep.iterations == len(rep.objective_trace) == len(rep.fixed_point_residuals) <= max_iter
+    accepted = rep.iterations - rep.anderson_rejected
+    plain = dr_solve(spec, DRConfig(gamma=1.0, alpha=1.5, eps=1e-10, max_iter=accepted), c0)
+    assert rep.stop_reason == plain.stop_reason
+    np.testing.assert_array_equal(rep.c_final.mat, plain.c_final.mat)
+    np.testing.assert_array_equal(rep.c_sparse.mat, plain.c_sparse.mat)
+    np.testing.assert_array_equal(rep.c_state.mat, plain.c_state.mat)
+    assert plain.stop_reason == ("tolerance" if max_iter == 2000 else "max_iter")
+
+
+def test_anderson_budget_counts_every_evaluation():
+    spec, s, _ = _cov_spec(12, 0.1, seed=8)
+    c0 = SymMatrix(s.mat + np.eye(12), strict=False)
+    rep = dr_solve(spec, DRConfig(gamma=1.0, alpha=1.5, eps=0.0, max_iter=40, anderson=3), c0)
+    assert rep.stop_reason == "max_iter"
+    assert rep.iterations == len(rep.objective_trace) == len(rep.fixed_point_residuals) == 40
+    # the budget's last evaluation is a plain step: the report comes from it
+    assert rep.objective_trace[-1] == pytest.approx(objective_eval(spec, rep.c_final), rel=1e-12)
+
+
+def test_anderson_config():
+    assert DRConfig().anderson == 0 and MMConfig().inner.anderson == 3
+    for bad in (-1, 1.5):
+        with pytest.raises(ConfigurationError):
+            DRConfig(anderson=bad)
