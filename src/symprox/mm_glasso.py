@@ -77,7 +77,9 @@ class MMReport:
     """Outcome of one MM run: final precision estimate plus the outer
     objective trace.  c_sparse is the soft-threshold shadow of the inner
     solve that produced c_final (exact zeros; the support estimate), or
-    the start when no step was published."""
+    the start when no step was published.  inner_iterations and
+    inner_stop_reasons hold one entry per inner solve; anderson_rejected
+    totals their rejected Anderson candidates."""
 
     c_final: SymMatrix
     c_sparse: SymMatrix
@@ -86,6 +88,8 @@ class MMReport:
     outer_iterations: int
     stop_reason: str
     last_inner: SolveReport
+    inner_stop_reasons: list
+    anderson_rejected: int
 
 
 def _eig(c):
@@ -180,7 +184,7 @@ def mm_solve(prob, cfg=None, c0=None):
     state = c
     sparse = c  # the published step's soft-threshold shadow; the start until one is published
     outer_objs = [f_prev]
-    inner_iters = []
+    inner_iters, inner_stops, rejected = [], [], 0
     stop_reason = "max_iter"
     for ell in range(cfg.outer_max):
         t = SymMatrix(-grad_trace_term(prob, e).mat, strict=False)
@@ -189,6 +193,8 @@ def mm_solve(prob, cfg=None, c0=None):
         state = rep.c_state
         f_new = objective_F(prob, rep.c_final_eig)
         inner_iters.append(rep.iterations)
+        inner_stops.append(rep.stop_reason)
+        rejected += rep.anderson_rejected
         if _rel_change_within(f_new, f_prev, cfg.outer_eps):
             # converged; never publish an uphill step (finite inner-solver
             # resolution can wiggle F upward by less than the tolerance)
@@ -217,6 +223,8 @@ def mm_solve(prob, cfg=None, c0=None):
         outer_iterations=len(inner_iters),
         stop_reason=stop_reason,
         last_inner=rep,
+        inner_stop_reasons=inner_stops,
+        anderson_rejected=rejected,
     )
 
 

@@ -196,9 +196,11 @@ class ScalarKernel:
             object.__setattr__(self, "psd", False)
 
 
-def soft(mu, xi):
-    """Soft threshold: shrink xi toward zero by mu."""
-    out = np.sign(xi) * np.maximum(np.abs(xi) - mu, 0.0)
+def soft(mu, xi, out=None):
+    """Soft threshold: shrink xi toward zero by mu, keeping the sign of xi
+    (a zero result is -0.0 where xi < 0, or xi is -0.0).  With out (an
+    array, which may be xi itself) the result is written there."""
+    out = np.copysign(np.maximum(np.abs(xi) - mu, 0.0), xi, out=out)
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -347,15 +349,59 @@ def _newton_bisect_vec(hdh, hi, tol=1e-12, max_iter=200):
     )
 
 
+def _newton_up_vec(hdh, x, tol=1e-12, max_iter=200):
+    """Vectorized Newton's method for the root of an elementwise-increasing,
+    concave h, started at x with h(x) <= 0, where hdh(x) returns (h(x), h'(x)).
+
+    The tangent at x lies above a concave h, so the Newton step from below
+    the root lands below it again: the iterates rise monotonically to the
+    root, with no bracket and no bisection.  Steps stop as in
+    _newton_bisect_vec (below tol*max(|x|, tol)), and an element stops
+    moving once it has converged, so its root does not depend on the other
+    elements of the call.  Raises NumericError when elements are still
+    unconverged after max_iter steps or a step leaves the finite floats.
+    """
+    open_ = np.ones(x.shape, bool)
+    with np.errstate(all="ignore"):
+        for _ in range(max_iter):
+            hx, dhx = hdh(x)
+            xn = x - hx / dhx
+            moved = np.abs(xn - x) > tol * np.maximum(tol, np.abs(xn))
+            x = np.where(open_, xn, x)
+            open_ &= moved  # a step to inf or nan stops here, and fails below
+            if not open_.any():
+                break
+    if open_.any():
+        raise NumericError(
+            f"monotone Newton: {int(open_.sum())} of {x.size} elements did not converge "
+            f"in {max_iter} steps"
+        )
+    if not np.isfinite(x).all():
+        raise NumericError(
+            f"monotone Newton: {int((~np.isfinite(x)).sum())} of {x.size} elements "
+            f"left the finite floats"
+        )
+    return x
+
+
+# The noisy-Burg and inverse-Schatten derivatives share a factor between
+# the first and second derivative, so each is a function that forms it once.
+def _dphi_noisy_burg(s2, d):
+    q = 1.0 / (d * (1.0 + s2 * d))
+    return -q, (1.0 + 2.0 * s2 * d) * (q * q)
+
+
+def _dpsi_inv_schatten(mu, p, d):
+    w = mu * p * d ** (-p - 1.0)
+    return -w, (p + 1.0) * w / d
+
+
 # phi'(d), phi''(d) of each divergence on the interior of its domain
 _DPHI = {
     "half_square": lambda s2, d: (d, 1.0),
     "burg": lambda s2, d: (-1.0 / d, 1.0 / (d * d)),
     "shannon": lambda s2, d: (np.log(d) + 1.0, 1.0 / d),
-    "noisy_burg": lambda s2, d: (
-        -1.0 / (d * (1.0 + s2 * d)),
-        (1.0 + 2.0 * s2 * d) / (d * (1.0 + s2 * d)) ** 2,
-    ),
+    "noisy_burg": _dphi_noisy_burg,
 }
 # psi'(d), psi''(d) of each root-solved penalty on d >= 0
 _DPSI = {
@@ -364,10 +410,7 @@ _DPSI = {
         mu * p * d ** (p - 1.0),
         mu * p * (p - 1.0) * d ** (p - 2.0),
     ),
-    "inv_schatten": lambda mu, p, d: (
-        -mu * p * d ** (-p - 1.0),
-        mu * p * (p + 1.0) * d ** (-p - 2.0),
-    ),
+    "inv_schatten": _dpsi_inv_schatten,
 }
 
 
@@ -391,8 +434,18 @@ def _stationarity(div, pen, lin, target):
 
 
 def _kernel_root_vec(div, pen, g, lam):
-    """Root-solved kernel prox: (d - lam)/g + phi'(d) + psi'(d) = 0."""
+    """Root-solved kernel prox: (d - lam)/g + phi'(d) + psi'(d) = 0.
+
+    The Burg-family inverse-Schatten rows (Burg, or noisy Burg with s2 =
+    sigma2, plus mu*d^-p) have h(d) = (d - lam)/g - 1/(d(1 + s2 d))
+    - mu p d^(-p-1), increasing and concave on d > 0, and h(d) <=
+    (d - (lam - g s2))/g - 1/d, whose root is the Burg prox at lam - g s2.
+    There h <= 0, so Newton rises from it to the root (_newton_up_vec).
+    Every other row goes through the bracketed solver.
+    """
     hdh = _stationarity(div, pen, 1.0 / g, lam / g)
+    if pen.kind == "inv_schatten" and div.kind in ("burg", "noisy_burg"):
+        return _newton_up_vec(hdh, _burg_root(lam - g * div.sigma2, g))
     return _newton_bisect_vec(hdh, np.maximum(lam, 0.0) + 1.0)
 
 
@@ -405,7 +458,8 @@ def _phi_sum(div, lam):
     k = div.kind
     if k == "half_square":
         return 0.5 * float(lam @ lam)
-    if np.any(lam < 0) or (k != "shannon" and np.any(lam == 0)):
+    lo = lam.min()
+    if lo < 0 or (lo == 0 and k != "shannon"):
         return math.inf
     if k == "burg":
         return float(-np.log(lam).sum())
@@ -429,7 +483,7 @@ def _psi_sum(pen, d):
     if k == "schatten":
         return pen.mu * float((np.abs(d) ** pen.p).sum())
     if k == "inv_schatten":
-        if np.any(d <= 0):
+        if d.min() <= 0:
             return math.inf
         return pen.mu * float((d ** (-pen.p)).sum())
     if k == "eig_box":
@@ -514,6 +568,17 @@ def _rank_vec(div, pen, g, lam):
     return x, x - (math.sqrt(g * (g + 2.0 * pen.mu)) - g)
 
 
+def _horner(p, dp, x):
+    """np.polyval(p, x) and np.polyval(dp, x) in one loop over the
+    coefficients (highest first along axis 0), with polyval's arithmetic."""
+    y, dy = np.zeros_like(x), np.zeros_like(x)
+    for i, c in enumerate(p):
+        y = y * x + c
+        if i < len(dp):
+            dy = dy * x + dp[i]
+    return y, dy
+
+
 def _cauchy_scored(k, g, lam):
     """Candidates of the Cauchy rows per element of lam and their prox
     objectives, as (m, K) arrays with each row sorted by (objective, |d|, d).
@@ -546,9 +611,13 @@ def _cauchy_scored(k, g, lam):
     p = np.stack(np.broadcast_arrays(*coefs))[:, :, None]
     dp = p[:-1] * np.arange(deg, 0, -1)[:, None, None]
     with np.errstate(all="ignore"):
+        pd, dpd = _horner(p, dp, d)
         for _ in range(2):
-            dn = d - np.polyval(p, d) / np.polyval(dp, d)
-            d = np.where(np.abs(np.polyval(p, dn)) < np.abs(np.polyval(p, d)), dn, d)
+            dn = d - pd / dpd
+            pn, dpn = _horner(p, dp, dn)
+            better = np.abs(pn) < np.abs(pd)
+            d = np.where(better, dn, d)
+            pd, dpd = np.where(better, pn, pd), np.where(better, dpn, dpd)
         if hs:
             d = np.concatenate([np.zeros((lam.size, 1)), d], axis=1)
             phi = 0.5 * (d * d)

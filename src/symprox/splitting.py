@@ -116,7 +116,7 @@ def _objective_from_d(spec, kernel, d, chalf):
     v = kernel_eval_vec(kernel, d)
     if math.isinf(v):
         return math.inf
-    return v - float(np.sum(spec.t.mat * chalf)) + spec.mu1 * float(np.abs(chalf).sum())
+    return v - float(np.vdot(spec.t.mat, chalf)) + spec.mu1 * float(np.abs(chalf).sum())
 
 
 def _rel_change_within(f_new, f_prev, eps):
@@ -127,14 +127,20 @@ def _rel_change_within(f_new, f_prev, eps):
 def _dr_step(spec, kernel, cfg, c):
     """One evaluation of the DR map at the governing iterate c, with one
     eigendecomposition: the eigenpairs (u, d) of the shadow chalf, its
-    objective f, the soft-threshold shadow and the step r = T(c) - c."""
+    objective f, the soft-threshold shadow and the step r = T(c) - c.
+    gamma*T is formed per evaluation: a copy held for the whole solve
+    would add n x n floats to its peak memory."""
     g = cfg.gamma
     u, lam = _eigh_desc(c + g * spec.t.mat)
     d = kernel_prox_vec(kernel, g, lam)
     chalf = _recompose_raw(u, d)
     f = _objective_from_d(spec, kernel, d, chalf)
-    sparse = soft(g * spec.mu1, 2.0 * chalf - c)
-    return u, d, chalf, f, sparse, cfg.alpha * (sparse - chalf)
+    z = 2.0 * chalf
+    z -= c
+    sparse = soft(g * spec.mu1, z, out=z)
+    r = sparse - chalf
+    r *= cfg.alpha
+    return u, d, chalf, f, sparse, r
 
 
 class _Anderson:
@@ -177,7 +183,10 @@ class _Anderson:
         k = self.size
         rhs = self.dr[:k] @ r.ravel().astype(np.float32)
         w = np.linalg.lstsq(self.gram[:k, :k], rhs, rcond=None)[0]
-        return p - (w.astype(np.float32) @ self.dp[:k]).reshape(p.shape)
+        # p - correction, with the float32 correction widened first: the same
+        # float64 values as the mixed-type difference, without its buffered casts
+        out = (w.astype(np.float32) @ self.dp[:k]).astype(np.float64)
+        return np.subtract(p.ravel(), out, out=out).reshape(p.shape)
 
 
 def dr_solve(spec, cfg, c0, check_start=True):

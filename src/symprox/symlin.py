@@ -99,6 +99,12 @@ def _psd_ok(w):
 
 
 def _recompose_raw(u, lam):
+    """u @ diag(lam) @ u.T, exactly symmetric.  For lam >= 0 it is x @ x.T
+    with x = u*sqrt(lam), which BLAS forms as one symmetric rank-k update;
+    a mixed-sign lam is symmetrized from the general product."""
+    if lam.min() >= 0.0:
+        x = u * np.sqrt(lam)
+        return x @ x.T
     m = (u * lam) @ u.T
     return 0.5 * (m + m.T)
 

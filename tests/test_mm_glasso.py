@@ -25,6 +25,7 @@ from symprox import (
     spd_inverse,
     trace_term,
 )
+from symprox import mm_glasso
 from symprox.experiments import empirical_cov, gen_sparse_precision, sample_gaussian
 
 from _oracles import rand_spd, rand_sym
@@ -382,8 +383,9 @@ def test_problem_validation():
     w, v = np.linalg.eigh(s.mat)
     assert w[0] < -1e-10 and w[-1] > 1e6
     prob = NoisyGlassoProblem(s=s, sigma2=0.0)
-    clipped = (v * np.maximum(w, 0.0)) @ v.T
-    np.testing.assert_array_equal(prob.s.mat, 0.5 * (clipped + clipped.T))
+    # the clipped spectrum is nonnegative, so the recompose is the syrk form x x^T
+    x = v * np.sqrt(np.maximum(w, 0.0))
+    np.testing.assert_array_equal(prob.s.mat, x @ x.T)
 
 
 def test_glasso_solve_beats_start():
@@ -448,3 +450,29 @@ def test_anderson_halves_the_evaluations_at_n100():
     bi = np.linalg.inv(np.eye(100) + sigma2 * c)
     grad = -ci + sigma2 * bi + bi @ s.mat @ bi - mu0 * ci @ ci
     assert _l1_violation(grad, mm.c_sparse.mat, mu1) <= 1e-3 * mu1
+
+
+def test_mm_report_records_every_inner_solve():
+    # the mm_n100 instance at sample seed 7919: four inner solves, each
+    # stopping on tolerance, no Anderson candidate rejected
+    s = empirical_cov(sample_gaussian(spd_inverse(gen_sparse_precision(100, 1e-3, 0)), 0.2, 1000, 7919))
+    rep = mm_solve(NoisyGlassoProblem(s=s, sigma2=0.04, mu0=0.005, mu1=0.05))
+    assert rep.inner_stop_reasons == ["tolerance"] * 4
+    assert len(rep.inner_iterations) == rep.outer_iterations == 4
+    assert rep.anderson_rejected == 0
+    assert rep.last_inner.stop_reason == rep.inner_stop_reasons[-1]
+
+
+def test_mm_report_totals_the_inner_rejections(monkeypatch):
+    prob, _, _ = _problem(n=10, seed=3)
+    solve = mm_glasso.dr_solve
+
+    def rejecting(*args, **kwargs):
+        rep = solve(*args, **kwargs)
+        rep.anderson_rejected, rep.stop_reason = 2, "max_iter"
+        return rep
+
+    monkeypatch.setattr(mm_glasso, "dr_solve", rejecting)
+    rep = mm_solve(prob)
+    assert rep.anderson_rejected == 2 * rep.outer_iterations > 0
+    assert rep.inner_stop_reasons == ["max_iter"] * rep.outer_iterations

@@ -27,7 +27,8 @@ from symprox import (
     project_l1_ball,
     soft,
 )
-from symprox.scalarprox import _newton_bisect_vec, _w_exp
+from symprox import scalarprox
+from symprox.scalarprox import _newton_bisect_vec, _stationarity, _w_exp
 
 from _oracles import (
     golden_min,
@@ -260,19 +261,67 @@ def test_root_linear_accepts_converged_newton_step(root, bracketing):
 
 
 def test_root_evaluations_on_the_mm_inner_row(monkeypatch):
-    # the prox each majorize-minimize inner iteration root-solves:
-    # noisy Burg plus inverse Schatten p = 1
-    evals, calls = [], []
+    # the prox each majorize-minimize inner iteration root-solves, noisy
+    # Burg plus inverse Schatten p = 1, runs the monotone Newton from the
+    # shifted Burg root: no bracketed solve, at most 6 evaluations per call
+    evals, calls, bracketed = [], [], []
+    up = scalarprox._newton_up_vec
 
-    def counting(hdh, hi, *args, **kwargs):
+    def counting(hdh, x, *args, **kwargs):
         calls.append(1)
-        return _newton_bisect_vec(_counted(hdh, evals), hi, *args, **kwargs)
+        return up(_counted(hdh, evals), x, *args, **kwargs)
 
-    monkeypatch.setattr("symprox.scalarprox._newton_bisect_vec", counting)
+    monkeypatch.setattr(scalarprox, "_newton_up_vec", counting)
+    monkeypatch.setattr(scalarprox, "_newton_bisect_vec", lambda *a, **kw: bracketed.append(1))
     k = ScalarKernel(Divergence.noisy_burg(0.04), Penalty.inv_schatten(0.005, 1.0))
     lam = np.random.default_rng(0).uniform(-1.0, 3.0, 100)
     kernel_prox_vec(k, 1.0, lam)
-    assert calls and len(evals) / len(calls) <= 12
+    assert not bracketed
+    assert calls and len(evals) / len(calls) <= 6
+
+
+def test_monotone_newton_reports_failure():
+    # concave increasing h = 2 - 1/d from below its root 0.5: unconverged
+    # after two steps; a flat tangent sends the step out of the floats
+    h = lambda d: (2.0 - 1.0 / d, 1.0 / (d * d))  # noqa: E731
+    assert scalarprox._newton_up_vec(h, np.array([0.1]))[0] == pytest.approx(0.5, rel=1e-15)
+    with pytest.raises(NumericError, match="1 of 1 elements did not converge in 2 steps"):
+        scalarprox._newton_up_vec(h, np.array([1e-3]), max_iter=2)
+    with pytest.raises(NumericError, match="1 of 2 elements left the finite floats"):
+        scalarprox._newton_up_vec(lambda d: (d - 1.0, np.where(d < 0.5, 0.0, 1.0)), np.array([0.0, 0.7]))
+
+
+_MONOTONE_LAMS = np.concatenate([-np.logspace(8, -8, 9), [0.0], np.logspace(-8, 8, 9)])
+
+
+@pytest.mark.parametrize("s2", [0.0, 0.04, 1.0])
+def test_monotone_newton_rows_match_the_bracketed_solver(monkeypatch, s2):
+    # the Burg-family inverse-Schatten rows (Burg at s2 = 0) solved by Newton
+    # from the shifted Burg root: no iterate passes the root, and the root
+    # agrees with the bracketed solver's within 2e-15 relative
+    div = Divergence.noisy_burg(s2) if s2 else BURG
+    lam = _MONOTONE_LAMS
+    iterates = []
+    up = scalarprox._newton_up_vec
+
+    def recording(hdh, x, *args, **kwargs):
+        def wrapped(d):
+            iterates.append(d)
+            return hdh(d)
+
+        return up(wrapped, x, *args, **kwargs)
+
+    monkeypatch.setattr(scalarprox, "_newton_up_vec", recording)
+    for p in (0.5, 1.0, 2.0):
+        for g in (0.05, 1.0, 7.0):
+            for mu in (1e-3, 1.0):
+                pen = Penalty.inv_schatten(mu, p)
+                iterates.clear()
+                d = scalarprox._kernel_root_vec(div, pen, g, lam)
+                hdh = _stationarity(div, pen, 1.0 / g, lam / g)
+                ref = _newton_bisect_vec(hdh, np.maximum(lam, 0.0) + 1.0)
+                assert np.all(np.abs(d - ref) <= 2e-15 * ref), (p, g, mu, lam, d, ref)
+                assert iterates and all(np.all(x <= d * (1.0 + 2e-15)) for x in iterates), (p, g, mu)
 
 
 def test_schatten3_implicit_matches_closed_form():

@@ -18,7 +18,7 @@ from symprox import (
     trace,
     write_matrix_csv,
 )
-from symprox.symlin import read_csv, read_kv, write_csv, write_kv
+from symprox.symlin import _recompose_raw, read_csv, read_kv, write_csv, write_kv
 
 from _oracles import rand_sym, rand_spd
 
@@ -77,6 +77,24 @@ def test_recompose_roundtrip():
     a = rand_sym(rng, 10)
     m = recompose(eig_sym(a))
     assert np.linalg.norm(m.mat - a) <= 1e-10 * max(1.0, np.linalg.norm(a))
+
+
+@pytest.mark.parametrize("n", [1, 7, 60])
+def test_recompose_raw_nonnegative_is_exactly_symmetric(n):
+    # d >= 0 (zeros included) takes the syrk form: exactly symmetric, within
+    # 1e-15 max|d| of the symmetrized general product; a mixed-sign d keeps
+    # that product bitwise
+    rng = np.random.default_rng(n)
+    u = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    for d in (rng.uniform(0.0, 3.0, n), np.where(np.arange(n) % 3, rng.uniform(0.0, 3.0, n), 0.0)):
+        m = _recompose_raw(u, d)
+        np.testing.assert_array_equal(m, m.T)
+        general = (u * d) @ u.T
+        assert np.abs(m - 0.5 * (general + general.T)).max() <= 1e-15 * d.max()
+    d = rng.uniform(-1.0, 3.0, n)
+    d[0] = -0.5
+    general = (u * d) @ u.T
+    np.testing.assert_array_equal(_recompose_raw(u, d), 0.5 * (general + general.T))
 
 
 def test_recompose_dimension_mismatch():
