@@ -155,6 +155,9 @@ def _effective(cmd, args):
             eff[key] = _coerce(key, cfgfile[key])
         else:
             eff[key] = dflt
+    for key in ("mu0", "mu1"):
+        if key in eff and not eff[key] >= 0:
+            raise ConfigurationError(f"key '{key}' must be nonnegative, got {eff[key]}")
     if eff.get("data"):
         for key in _GENERATING:
             if key in defaults and (getattr(args, key) is not None or key in cfgfile):

@@ -12,7 +12,7 @@ callers take the first (lowest objective, then smallest magnitude).
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -415,11 +415,8 @@ _DPSI = {
 
 
 def _stationarity(div, pen, lin, target):
-    """hdh(d) = (h(d), h'(d)) for h(d) = lin*d - target + phi'(d) + psi'(d).
-
-    Kernel rows use lin = 1/gamma, target = lam/gamma; Bregman rows use
-    lin = 0, target = phi'(y).  h is increasing in d for every row.
-    """
+    """hdh(d) = (h(d), h'(d)) for h(d) = lin*d - target + phi'(d) + psi'(d),
+    increasing in d on every row (_root_vec gives the rows' arguments)."""
     if pen.kind not in _DPSI:
         raise ConfigurationError(f"penalty '{pen.kind}' has no root-solved {div.kind} prox")
     dphi, dpsi = _DPHI[div.kind], _DPSI[pen.kind]
@@ -433,20 +430,20 @@ def _stationarity(div, pen, lin, target):
     return hdh
 
 
-def _kernel_root_vec(div, pen, g, lam):
-    """Root-solved kernel prox: (d - lam)/g + phi'(d) + psi'(d) = 0.
-
-    The Burg-family inverse-Schatten rows (Burg, or noisy Burg with s2 =
-    sigma2, plus mu*d^-p) have h(d) = (d - lam)/g - 1/(d(1 + s2 d))
-    - mu p d^(-p-1), increasing and concave on d > 0, and h(d) <=
-    (d - (lam - g s2))/g - 1/d, whose root is the Burg prox at lam - g s2.
-    There h <= 0, so Newton rises from it to the root (_newton_up_vec).
-    Every other row goes through the bracketed solver.
-    """
-    hdh = _stationarity(div, pen, 1.0 / g, lam / g)
-    if pen.kind == "inv_schatten" and div.kind in ("burg", "noisy_burg"):
-        return _newton_up_vec(hdh, _burg_root(lam - g * div.sigma2, g))
-    return _newton_bisect_vec(hdh, np.maximum(lam, 0.0) + 1.0)
+def _root_vec(div, pen, lin, target, hi):
+    """The root of a _stationarity row (kernel rows: lin = 1/g, target =
+    lam/g, hi = max(lam, 0) + 1; Bregman rows: lin = 0, target = phi'(y),
+    hi = y).  On the Burg family with no penalty or mu*d^-p (noisy Burg
+    with s2 = sigma2), h is increasing and concave on d > 0 and lies below
+    lin*d - (target - s2) - 1/d.  That bound's positive root, the Burg prox
+    at lam - g*s2 (for lin = 0 the anchor y, where h = -psi'(y) <= 0
+    exactly), is a start with h <= 0, from which Newton rises to the root
+    (_newton_up_vec).  Every other row is bracketed on [0, hi]."""
+    hdh = _stationarity(div, pen, lin, target)
+    if div.kind in ("burg", "noisy_burg") and pen.kind in ("none", "inv_schatten"):
+        start = _burg_root((target - div.sigma2) / lin, 1.0 / lin) if lin else hi
+        return _newton_up_vec(hdh, start)
+    return _newton_bisect_vec(hdh, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -646,8 +643,9 @@ def _prox_separable_vec(div, pen, g, lam):
     if prox_phi is None or not (deg or pen.kind in ("none", "eig_box")):
         if div.kind == "half_square" and pen.kind == "schatten":
             # the prox is odd in lam: solve for |d| at |lam|
-            return np.sign(lam) * _kernel_root_vec(div, pen, g, np.abs(lam))
-        return _kernel_root_vec(div, pen, g, lam)
+            a = np.abs(lam)
+            return np.sign(lam) * _root_vec(div, pen, 1.0 / g, a / g, a + 1.0)
+        return _root_vec(div, pen, 1.0 / g, lam / g, np.maximum(lam, 0.0) + 1.0)
     if deg == 2:
         # g*mu*d^2 merges into the quadratic term: rescale gamma and lam
         c = 1.0 + 2.0 * g * pen.mu
@@ -720,6 +718,30 @@ def kernel_prox_vec(k, gamma, lam):
     if pen.kind == "cauchy":
         return _cauchy_scored(k, gamma, lam)[0][:, 0]
     return _prox_separable_vec(k.divergence, pen, gamma, lam)
+
+
+def _bregman_prox_vec(div, pen, y):
+    """Bregman prox on the anchor's eigenvalues: argmin_d psi(d) + D_phi(d, y)
+    (the half-square rows include the whole-vector penalties)."""
+    k = div.kind
+    if k == "half_square":
+        # D_phi(d, y) = (d - y)^2 / 2: the classical prox of psi at y, which
+        # is the gamma = 1 spectral kernel at 2y with doubled penalty weight
+        return kernel_prox_vec(ScalarKernel(div, replace(pen, mu=2.0 * pen.mu)), 1.0, 2.0 * y)
+    if pen.kind == "none":
+        return y.copy()
+    if pen.kind == "eig_box":
+        return np.clip(y, pen.alpha, pen.beta)
+    deg = _degree(pen)
+    if deg == 1:
+        return y / (1.0 + pen.mu * y) if k == "burg" else y * math.exp(-pen.mu)
+    target = _DPHI[k](div.sigma2, y)[0]
+    if deg == 2:
+        # mu*d^2 - phi'(y)*d + phi(d) is a prox of g*phi at g*phi'(y), g = 1/(2 mu)
+        g = 0.5 / pen.mu
+        return _PROX_PHI[k](g, g * target)
+    # phi'(d) + psi'(d) = phi'(y), increasing in d
+    return _root_vec(div, pen, 0.0, target, y)
 
 
 # ---------------------------------------------------------------------------

@@ -8,19 +8,18 @@ recompose route in the eigenbasis of the anchor.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
-from .scalarprox import (
+# unused here: _newton_bisect_vec is imported for perfbench/tracing.py's ROOT_SOLVERS
+from .scalarprox import (  # noqa: F401
     ScalarKernel,
     _DPHI,
-    _PROX_PHI,
-    _degree,
+    _bregman_prox_vec,
     _newton_bisect_vec,
     _phi_sum,
-    _stationarity,
     kernel_prox_vec,
 )
 from .symlin import SymMatrix, _eigh_desc, _recompose_raw, as_sym, inner
@@ -61,8 +60,7 @@ def _check_interior(div, y):
 
 def bregman_div(div, c, y):
     """Bregman divergence D(c, y) = f(c) - f(y) - <grad f(y), c - y>."""
-    c = as_sym(c)
-    y = as_sym(y)
+    c, y = as_sym(c), as_sym(y)
     uy, yl = _eigh_desc(y.mat)
     _check_interior(div, yl)
     fc = _phi_sum(div, np.linalg.eigvalsh(c.mat))
@@ -71,32 +69,6 @@ def bregman_div(div, c, y):
     fy = _phi_sum(div, yl)
     grad = SymMatrix(_recompose_raw(uy, _DPHI[div.kind](div.sigma2, yl)[0]), strict=False)
     return fc - fy - inner(grad, SymMatrix(c.mat - y.mat, strict=False))
-
-
-def _bregman_scalar_vec(div, pen, y):
-    """Bregman prox on the anchor's eigenvalues: argmin_d psi(d) + D_phi(d, y)
-    (the half-square rows include the whole-vector penalties)."""
-    k = div.kind
-    if k == "half_square":
-        # D_phi(d, y) = (d - y)^2 / 2: the classical prox of psi at y, which
-        # is the gamma = 1 spectral kernel at 2y with doubled penalty weight
-        kern = ScalarKernel(div, replace(pen, mu=2.0 * pen.mu))
-        return kernel_prox_vec(kern, 1.0, 2.0 * y)
-    if pen.kind == "none":
-        return y.copy()
-    if pen.kind == "eig_box":
-        return np.clip(y, pen.alpha, pen.beta)
-    mu = pen.mu
-    deg = _degree(pen)
-    if deg == 1:
-        return y / (1.0 + mu * y) if k == "burg" else y * math.exp(-mu)
-    target = _DPHI[k](div.sigma2, y)[0]
-    if deg == 2:
-        # mu*d^2 - phi'(y)*d + phi(d) is a prox of g*phi at g*phi'(y), g = 1/(2 mu)
-        g = 0.5 / mu
-        return _PROX_PHI[k](g, g * target)
-    # phi'(d) + psi'(d) = phi'(y), increasing in d
-    return _newton_bisect_vec(_stationarity(div, pen, 0.0, target), y)
 
 
 def bregman_prox(div, psi_kernel, y):
@@ -117,5 +89,4 @@ def bregman_prox(div, psi_kernel, y):
     uy, yl = _eigh_desc(y.mat)
     _check_interior(div, yl)
     pen = ScalarKernel(div, psi_kernel).penalty  # validated, eig_box bounds clipped
-    d = _bregman_scalar_vec(div, pen, yl)
-    return SymMatrix(_recompose_raw(uy, d), strict=False)
+    return SymMatrix(_recompose_raw(uy, _bregman_prox_vec(div, pen, yl)), strict=False)

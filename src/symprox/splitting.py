@@ -65,10 +65,13 @@ class DRConfig:
             raise ConfigurationError("relaxation alpha must lie in (0, 2)")
         if not self.eps >= 0:
             raise ConfigurationError("eps must be nonnegative")
-        if not self.max_iter >= 1:
-            raise ConfigurationError("max_iter must be positive")
-        if not (self.anderson >= 0 and self.anderson == int(self.anderson)):
-            raise ConfigurationError("anderson must be a nonnegative integer")
+        _check_count("max_iter", self.max_iter, 1)
+        _check_count("anderson", self.anderson, 0)
+
+
+def _check_count(key, value, least):
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ConfigurationError(f"{key} must be an integer >= {least}, got {value!r}")
 
 
 @dataclass

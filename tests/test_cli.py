@@ -126,6 +126,27 @@ def test_negative_anderson_exit2(tmp_path, capsys):
     assert "anderson" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cmd, key, value", [
+    ("solve-cov", "mu0", "-0.5"),
+    ("solve-glasso", "mu0", "-1"), ("solve-glasso", "mu1", "-1"),
+    ("solve-glasso", "outer_eps", "0"), ("solve-glasso", "outer_max", "0"),
+    ("bench", "mu0", "-1"), ("bench", "mu1", "-1"),
+    ("bench", "outer_eps", "0"), ("bench", "outer_max", "0"),
+])
+def test_bad_weight_or_outer_setting_exit2(tmp_path, capsys, cmd, key, value):
+    # a negative weight or an MM outer setting below its range is a
+    # configuration error naming the key, raised before anything is written
+    small = {
+        "solve-cov": ["--n", "8", "--blocks", "3,5"],
+        "solve-glasso": ["--n", "8", "--p", "0.1"],
+        "bench": ["--n", "8", "--p", "0.1", "--reps", "1"],
+    }[cmd]
+    rc = run([cmd, *small, "--" + key.replace("_", "-"), value, "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("key, value", [("sigma", "0.1,0.3"), ("seed", "3"), ("n", "8")])
 @pytest.mark.parametrize("where", ["flag", "config"])
 def test_data_with_a_generating_key_exit2(tmp_path, capsys, key, value, where):

@@ -260,10 +260,8 @@ def test_root_linear_accepts_converged_newton_step(root, bracketing):
     assert len(evals) - bracketing <= 3
 
 
-def test_root_evaluations_on_the_mm_inner_row(monkeypatch):
-    # the prox each majorize-minimize inner iteration root-solves, noisy
-    # Burg plus inverse Schatten p = 1, runs the monotone Newton from the
-    # shifted Burg root: no bracketed solve, at most 6 evaluations per call
+def _route(monkeypatch):
+    # count the monotone Newton's calls and evaluations; fail on a bracketed call
     evals, calls, bracketed = [], [], []
     up = scalarprox._newton_up_vec
 
@@ -273,11 +271,37 @@ def test_root_evaluations_on_the_mm_inner_row(monkeypatch):
 
     monkeypatch.setattr(scalarprox, "_newton_up_vec", counting)
     monkeypatch.setattr(scalarprox, "_newton_bisect_vec", lambda *a, **kw: bracketed.append(1))
+    return evals, calls, bracketed
+
+
+def test_root_evaluations_on_the_mm_inner_row(monkeypatch):
+    # the prox each majorize-minimize inner iteration root-solves, noisy
+    # Burg plus inverse Schatten p = 1, runs the monotone Newton from the
+    # shifted Burg root: no bracketed solve, at most 6 evaluations per call
+    evals, calls, bracketed = _route(monkeypatch)
     k = ScalarKernel(Divergence.noisy_burg(0.04), Penalty.inv_schatten(0.005, 1.0))
     lam = np.random.default_rng(0).uniform(-1.0, 3.0, 100)
     kernel_prox_vec(k, 1.0, lam)
     assert not bracketed
     assert calls and len(evals) / len(calls) <= 6
+
+
+def test_root_evaluations_on_the_moved_rows(monkeypatch):
+    # the Bregman Burg inverse-Schatten row climbs from the anchor and the
+    # unpenalized noisy-Burg kernel row from the shifted Burg root: no
+    # bracketed solve, at most 7 and 4 evaluations per call (7 and 3 here;
+    # 6 or 7 and 3 on seeds 0-5)
+    rng = np.random.default_rng(0)
+    evals, calls, bracketed = _route(monkeypatch)
+    q, _ = np.linalg.qr(rng.standard_normal((30, 30)))
+    bregman_prox(BURG, Penalty.inv_schatten(0.2, 1.0), (q * rng.uniform(0.2, 3.0, 30)) @ q.T)
+    assert not bracketed
+    assert calls and len(evals) / len(calls) <= 7
+    evals.clear()
+    calls.clear()
+    kernel_prox_vec(ScalarKernel(Divergence.noisy_burg(0.04), Penalty.none()), 1.0, rng.uniform(-2.5, 2.5, 30))
+    assert not bracketed
+    assert calls and len(evals) / len(calls) <= 4
 
 
 def test_monotone_newton_reports_failure():
@@ -292,15 +316,28 @@ def test_monotone_newton_reports_failure():
 
 
 _MONOTONE_LAMS = np.concatenate([-np.logspace(8, -8, 9), [0.0], np.logspace(-8, 8, 9)])
+_MONOTONE_ANCHORS = np.logspace(-8, 8, 17)
 
 
 @pytest.mark.parametrize("s2", [0.0, 0.04, 1.0])
 def test_monotone_newton_rows_match_the_bracketed_solver(monkeypatch, s2):
-    # the Burg-family inverse-Schatten rows (Burg at s2 = 0) solved by Newton
-    # from the shifted Burg root: no iterate passes the root, and the root
-    # agrees with the bracketed solver's within 2e-15 relative
+    # the Burg-family rows that _root_vec solves by Newton from the root of
+    # the bound lin*d - (target - s2) - 1/d: the inverse-Schatten kernel rows
+    # (Burg at s2 = 0), the unpenalized noisy-Burg kernel row (s2 > 0) and the
+    # Bregman Burg inverse-Schatten row (s2 = 0; lin = 0, started at the
+    # anchor).  No iterate passes the root, and the root agrees with the
+    # bracketed solver's within 2e-15 relative
     div = Divergence.noisy_burg(s2) if s2 else BURG
     lam = _MONOTONE_LAMS
+    rows = []  # (penalty, lin, target, hi)
+    pens = [Penalty.inv_schatten(mu, p) for p in (0.5, 1.0, 2.0) for mu in (1e-3, 1.0)]
+    pens += [Penalty.none()] if s2 else []
+    for g in (0.05, 1.0, 7.0):
+        rows += [(pen, 1.0 / g, lam / g, np.maximum(lam, 0.0) + 1.0) for pen in pens]
+    if not s2:
+        y = _MONOTONE_ANCHORS
+        pens = [Penalty.inv_schatten(mu, p) for p in (0.5, 0.7, 1.0, 2.0, 2.2) for mu in (1e-8, 1e-3, 1.0, 1e4)]
+        rows += [(pen, 0.0, -1.0 / y, y) for pen in pens]
     iterates = []
     up = scalarprox._newton_up_vec
 
@@ -312,16 +349,12 @@ def test_monotone_newton_rows_match_the_bracketed_solver(monkeypatch, s2):
         return up(wrapped, x, *args, **kwargs)
 
     monkeypatch.setattr(scalarprox, "_newton_up_vec", recording)
-    for p in (0.5, 1.0, 2.0):
-        for g in (0.05, 1.0, 7.0):
-            for mu in (1e-3, 1.0):
-                pen = Penalty.inv_schatten(mu, p)
-                iterates.clear()
-                d = scalarprox._kernel_root_vec(div, pen, g, lam)
-                hdh = _stationarity(div, pen, 1.0 / g, lam / g)
-                ref = _newton_bisect_vec(hdh, np.maximum(lam, 0.0) + 1.0)
-                assert np.all(np.abs(d - ref) <= 2e-15 * ref), (p, g, mu, lam, d, ref)
-                assert iterates and all(np.all(x <= d * (1.0 + 2e-15)) for x in iterates), (p, g, mu)
+    for pen, lin, target, hi in rows:
+        iterates.clear()
+        d = scalarprox._root_vec(div, pen, lin, target, hi)
+        ref = _newton_bisect_vec(_stationarity(div, pen, lin, target), hi)
+        assert np.all(np.abs(d - ref) <= 2e-15 * ref), (pen, lin, d, ref)
+        assert iterates and all(np.all(x <= d * (1.0 + 2e-15)) for x in iterates), (pen, lin)
 
 
 def test_schatten3_implicit_matches_closed_form():

@@ -218,6 +218,18 @@ def test_config_validation():
         DRConfig(alpha=2.0)
     with pytest.raises(Exception):
         DRConfig(max_iter=0)
+    # counts are Python or numpy integers: a float or a bool is a configuration
+    # error naming the key, not a TypeError inside the solve
+    for bad in (50.0, True, 0):
+        with pytest.raises(ConfigurationError, match="max_iter"):
+            DRConfig(max_iter=bad)
+    for bad in (3.0, False, 0):
+        with pytest.raises(ConfigurationError, match="outer_max"):
+            MMConfig(outer_max=bad)
+    with pytest.raises(ConfigurationError, match="outer_eps"):
+        MMConfig(outer_eps=0.0)
+    cfg = MMConfig(inner=DRConfig(max_iter=np.int64(50), anderson=np.int32(2)), outer_max=np.int64(3))
+    assert (cfg.inner.max_iter, cfg.inner.anderson, cfg.outer_max) == (50, 2, 3)
     with pytest.raises(Exception):
         ObjectiveSpec(divergence=BURG, t=_zeros(2), g0=Penalty.rank(0.5))
 
@@ -303,6 +315,6 @@ def test_anderson_budget_counts_every_evaluation():
 
 def test_anderson_config():
     assert DRConfig().anderson == 0 and MMConfig().inner.anderson == 3
-    for bad in (-1, 1.5):
-        with pytest.raises(ConfigurationError):
+    for bad in (-1, 1.5, 3.0, True):
+        with pytest.raises(ConfigurationError, match="anderson"):
             DRConfig(anderson=bad)
