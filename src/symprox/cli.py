@@ -8,6 +8,7 @@ still written).
 """
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -34,7 +35,7 @@ from .mm_glasso import (
     glasso_solve,
     mm_solve,
 )
-from .scalarprox import Divergence, Penalty, parse_kernel
+from .scalarprox import Divergence, Penalty, ScalarKernel, parse_kernel
 from .spectralprox import SpectralProxRequest, prox_spectral
 from .splitting import DRConfig, ObjectiveSpec, dr_solve, objective_eval, write_trace_csv
 from .symlin import (
@@ -155,9 +156,9 @@ def _effective(cmd, args):
             eff[key] = _coerce(key, cfgfile[key])
         else:
             eff[key] = dflt
-    for key in ("mu0", "mu1"):
-        if key in eff and not eff[key] >= 0:
-            raise ConfigurationError(f"key '{key}' must be nonnegative, got {eff[key]}")
+    for key in ("mu0", "mu1", "support_tol"):
+        if key in eff and not 0 <= eff[key] < math.inf:
+            raise ConfigurationError(f"key '{key}' must be finite and nonnegative, got {eff[key]}")
     if eff.get("data"):
         for key in _GENERATING:
             if key in defaults and (getattr(args, key) is not None or key in cfgfile):
@@ -175,8 +176,8 @@ def _sigma_list(text):
         vals = [float(tok) for tok in str(text).split(",") if tok.strip() != ""]
     except ValueError:
         raise ConfigurationError(f"key 'sigma' expects a comma-separated float list, got '{text}'") from None
-    if not vals or any(v < 0 for v in vals):
-        raise ConfigurationError("key 'sigma' must list nonnegative values")
+    if not vals or not all(0 <= v < math.inf for v in vals):
+        raise ConfigurationError(f"key 'sigma' must list finite nonnegative values, got '{text}'")
     return vals
 
 
@@ -294,10 +295,7 @@ def _cmd_prox(eff):
     outdir = eff["out"]
     _echo_config(eff, outdir)
     write_matrix_csv(result, os.path.join(outdir, "result.csv"))
-    spec = ObjectiveSpec(
-        divergence=kernel.divergence, t=t, g0=kernel.penalty, mu1=0.0, psd=kernel.psd
-    )
-    obj = objective_eval(spec, result) + fro_norm(
+    obj = objective_eval(ObjectiveSpec(kernel, t), result) + fro_norm(
         SymMatrix(result.mat - c_bar.mat, strict=False)
     ) ** 2 / (2.0 * eff["gamma"])
     print(f"objective={format_float(obj)}")
@@ -324,13 +322,8 @@ def _cmd_solve_cov(eff):
     n = ds.y_star.n
     s = empirical_cov(ds)
     t = SymMatrix(s.mat - sigma * sigma * np.eye(n), strict=False)
-    spec = ObjectiveSpec(
-        divergence=Divergence.half_square(),
-        t=t,
-        g0=Penalty.nuclear(eff["mu0"]) if eff["mu0"] > 0 else Penalty.none(),
-        mu1=eff["mu1"],
-        psd=True,
-    )
+    g0 = Penalty.nuclear(eff["mu0"]) if eff["mu0"] > 0 else Penalty.none()
+    spec = ObjectiveSpec(ScalarKernel(Divergence.half_square(), g0, psd=True), t, eff["mu1"])
     c0 = SymMatrix(s.mat + np.eye(n), strict=False)
     rep = dr_solve(spec, _dr_config(eff), c0)
     m = metrics(rep.c_sparse, ds.y_star, support_tol=eff["support_tol"])
@@ -371,14 +364,14 @@ def _cmd_solve_glasso(eff):
 _METHODS = ("mm", "glasso", "dr-noisy")
 
 
-def _bench_one(method, s, sigma, c_star, y_star, eff):
+def _bench_one(method, s, sigma, c_star, y_star, eff, cfg):
     if method == "mm":
         prob = NoisyGlassoProblem(s=s, sigma2=sigma ** 2, mu0=eff["mu0"], mu1=eff["mu1"])
-        rep = mm_solve(prob, _mm_config(eff))
+        rep = mm_solve(prob, cfg)
     elif method == "glasso":
-        rep = glasso_solve(s, eff["mu1"], cfg=_dr_config(eff))
+        rep = glasso_solve(s, eff["mu1"], cfg=cfg.inner)
     else:
-        rep = dr_noisy_baseline(s, eff["mu0"], eff["mu1"], cfg=_dr_config(eff))
+        rep = dr_noisy_baseline(s, eff["mu0"], eff["mu1"], cfg=cfg.inner)
     iters = sum(rep.inner_iterations) if method == "mm" else rep.iterations
     m = metrics(rep.c_sparse, c_star, support_tol=eff["support_tol"])
     return _precision_rmse(rep.c_final, y_star), m.tpr, m.fpr, iters
@@ -402,6 +395,7 @@ def _cmd_bench(eff):
         raise ConfigurationError("key 'reps' must be at least 1")
 
     _check_glasso_keys(eff)
+    cfg = _mm_config(eff)  # every method: the MM outer keys are checked even when mm is not run
     c_star = gen_sparse_precision(eff["n"], eff["p"], eff["seed"])
     y_star = spd_inverse(c_star)
 
@@ -413,7 +407,7 @@ def _cmd_bench(eff):
                 ds = sample_gaussian(y_star, sigma, eff["nsamples"], sample_seed)
                 s = empirical_cov(ds)
                 t0 = time.perf_counter()
-                rmse, tpr, fpr, iters = _bench_one(method, s, sigma, c_star, y_star, eff)
+                rmse, tpr, fpr, iters = _bench_one(method, s, sigma, c_star, y_star, eff, cfg)
                 elapsed = time.perf_counter() - t0 if eff["wall_times"] else 0.0
                 rows.append((method, sigma, sample_seed, rmse, tpr, fpr, iters, elapsed))
 

@@ -26,12 +26,15 @@ from .symlin import EigenDecomp, SymMatrix, _psd_ok, _recompose_raw, as_sym, eig
 @dataclass(frozen=True)
 class NoisyGlassoProblem:
     """Data S (clipped to PSD on construction), noise variance sigma2,
-    inverse-eigenvalue weight mu0, and l1 weight mu1."""
+    inverse-eigenvalue weight mu0, and l1 weight mu1.  kernel, built once,
+    is the spectral part of F: divergence noisy_burg(sigma2) with penalty
+    mu0 * sum 1/lambda_i."""
 
     s: SymMatrix
     sigma2: float = 0.0
     mu0: float = 0.0
     mu1: float = 0.0
+    kernel: ScalarKernel = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.sigma2 < 0 or self.mu0 < 0 or self.mu1 < 0:
@@ -45,18 +48,12 @@ class NoisyGlassoProblem:
         if w[0] < 0:
             s = SymMatrix(_recompose_raw(v, np.maximum(w, 0.0)), strict=False)
         object.__setattr__(self, "s", s)
+        pen = Penalty.inv_schatten(self.mu0, 1.0) if self.mu0 > 0 else Penalty.none()
+        object.__setattr__(self, "kernel", ScalarKernel(Divergence.noisy_burg(self.sigma2), pen))
 
     @property
     def n(self):
         return self.s.n
-
-    @property
-    def divergence(self):
-        return Divergence.noisy_burg(self.sigma2)
-
-    @property
-    def penalty(self):
-        return Penalty.inv_schatten(self.mu0, 1.0) if self.mu0 > 0 else Penalty.none()
 
 
 @dataclass(frozen=True)
@@ -127,14 +124,14 @@ def grad_trace_term(prob, c):
 
 def f_noisy(prob, c):
     """log det(C^-1 + sigma2*I) from the eigenvalues of c, a matrix or its EigenDecomp; +inf unless PD."""
-    return _phi_sum(prob.divergence, _eig(c).lam)
+    return _phi_sum(prob.kernel.divergence, _eig(c).lam)
 
 
 def _objective(prob, c, trace_part):
     # F and its majorant share every term but the trace term, in this order
     # and from the same eigenvalues, so that G(c | c) == F(c) bitwise
     e = _eig(c)
-    v = kernel_eval_vec(ScalarKernel(prob.divergence, prob.penalty), e.lam)
+    v = kernel_eval_vec(prob.kernel, e.lam)
     if math.isinf(v):
         return math.inf
     cmat = _mat(c)
@@ -189,8 +186,7 @@ def mm_solve(prob, cfg=None, c0=None):
     stop_reason = "max_iter"
     for ell in range(cfg.outer_max):
         t = SymMatrix(-grad_trace_term(prob, e).mat, strict=False)
-        ospec = ObjectiveSpec(divergence=prob.divergence, t=t, g0=prob.penalty, mu1=prob.mu1)
-        rep = dr_solve(ospec, cfg.inner, state, check_start=False)
+        rep = dr_solve(ObjectiveSpec(prob.kernel, t, prob.mu1), cfg.inner, state)
         state = rep.c_state
         f_new = objective_F(prob, rep.c_final_eig)
         inner_iters.append(rep.iterations)
@@ -242,6 +238,7 @@ def dr_noisy_baseline(s, mu0, mu1, cfg=None, c0=None):
     prob = NoisyGlassoProblem(s=s, sigma2=0.0, mu0=mu0, mu1=mu1)
     cfg = cfg or MMConfig().inner
     t = SymMatrix(-prob.s.mat, strict=False)
-    spec = ObjectiveSpec(divergence=Divergence.burg(), t=t, g0=prob.penalty, mu1=mu1)
+    # Burg, not prob.kernel's noisy_burg(0): equal in exact arithmetic, but rounded differently
+    spec = ObjectiveSpec(ScalarKernel(Divergence.burg(), prob.kernel.penalty), t, mu1)
     c0 = as_sym(c0) if c0 is not None else default_init(prob)
     return dr_solve(spec, cfg, c0)

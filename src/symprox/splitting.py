@@ -20,29 +20,22 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, InvalidInputError
-from .scalarprox import Divergence, Penalty, ScalarKernel, kernel_eval_vec, kernel_prox_vec, soft
+from .scalarprox import ScalarKernel, kernel_eval_vec, kernel_prox_vec, soft
 from .symlin import EigenDecomp, SymMatrix, _eigh_desc, _recompose_raw, as_sym, format_float, write_csv
 
 
 @dataclass(frozen=True)
 class ObjectiveSpec:
-    """Full problem description: divergence f, linear term T, spectral
-    penalty g0, l1 weight mu1, optional PSD constraint (passed on to kernel)."""
+    """Full problem description: the spectral part f + g0 (one ScalarKernel,
+    PSD-constrained when the kernel is), linear term T and l1 weight mu1."""
 
-    divergence: Divergence
+    kernel: ScalarKernel
     t: SymMatrix
-    g0: Penalty
     mu1: float = 0.0
-    psd: bool = False
 
     def __post_init__(self):
-        if self.mu1 < 0:
+        if not self.mu1 >= 0:
             raise ConfigurationError("mu1 must be nonnegative")
-        ScalarKernel(self.divergence, self.g0, self.psd)  # reject unsupported pairings early
-
-    @property
-    def kernel(self):
-        return ScalarKernel(self.divergence, self.g0, self.psd)
 
 
 @dataclass(frozen=True)
@@ -59,8 +52,8 @@ class DRConfig:
     anderson: int = 0
 
     def __post_init__(self):
-        if not self.gamma > 0:
-            raise ConfigurationError("gamma must be positive")
+        if not 0 < self.gamma < math.inf:
+            raise ConfigurationError(f"gamma must be positive and finite, got {self.gamma!r}")
         if not 0.0 < self.alpha < 2.0:
             raise ConfigurationError("relaxation alpha must lie in (0, 2)")
         if not self.eps >= 0:
@@ -109,14 +102,14 @@ def prox_l1_matrix(tau, m):
 
 def objective_eval(spec, c):
     """f(C) - trace(TC) + g0(C) + mu1*||C||_1, +inf outside domains
-    (the PSD cone included when spec.psd, as kernel_eval_vec checks it)."""
+    (the PSD cone included when spec.kernel.psd, as kernel_eval_vec checks it)."""
     c = as_sym(c)
-    return _objective_from_d(spec, spec.kernel, np.linalg.eigvalsh(c.mat), c.mat)
+    return _objective_from_d(spec, np.linalg.eigvalsh(c.mat), c.mat)
 
 
-def _objective_from_d(spec, kernel, d, chalf):
-    # objective at the matrix chalf, given its eigenvalues d and spec.kernel
-    v = kernel_eval_vec(kernel, d)
+def _objective_from_d(spec, d, chalf):
+    # objective at the matrix chalf, given its eigenvalues d
+    v = kernel_eval_vec(spec.kernel, d)
     if math.isinf(v):
         return math.inf
     return v - float(np.vdot(spec.t.mat, chalf)) + spec.mu1 * float(np.abs(chalf).sum())
@@ -127,7 +120,7 @@ def _rel_change_within(f_new, f_prev, eps):
     return abs(f_new - f_prev) <= eps * max(abs(f_prev), 1e-300)
 
 
-def _dr_step(spec, kernel, cfg, c):
+def _dr_step(spec, cfg, c):
     """One evaluation of the DR map at the governing iterate c, with one
     eigendecomposition: the eigenpairs (u, d) of the shadow chalf, its
     objective f, the soft-threshold shadow and the step r = T(c) - c.
@@ -135,9 +128,9 @@ def _dr_step(spec, kernel, cfg, c):
     would add n x n floats to its peak memory."""
     g = cfg.gamma
     u, lam = _eigh_desc(c + g * spec.t.mat)
-    d = kernel_prox_vec(kernel, g, lam)
+    d = kernel_prox_vec(spec.kernel, g, lam)
     chalf = _recompose_raw(u, d)
-    f = _objective_from_d(spec, kernel, d, chalf)
+    f = _objective_from_d(spec, d, chalf)
     z = 2.0 * chalf
     z -= c
     sparse = soft(g * spec.mu1, z, out=z)
@@ -192,12 +185,11 @@ class _Anderson:
         return np.subtract(p.ravel(), out, out=out).reshape(p.shape)
 
 
-def dr_solve(spec, cfg, c0, check_start=True):
-    """Run the Douglas-Rachford iteration from c0.
-
-    check_start validates that the objective is finite at c0; callers that
-    warm-start from a previous run's governing iterate (which may sit
-    outside the domain of f) disable it.
+def dr_solve(spec, cfg, c0):
+    """Run the Douglas-Rachford iteration from c0, any symmetric matrix of
+    the size of T: the first shadow iterate is a prox, so it lies in the
+    domain even when c0 does not (a previous run's governing iterate, for
+    a warm start).
 
     With cfg.anderson = m > 0 each step after the first tries the Anderson
     candidate built from the last m accepted steps and keeps it only if its
@@ -210,9 +202,6 @@ def dr_solve(spec, cfg, c0, check_start=True):
     c0 = as_sym(c0)
     if c0.n != spec.t.n:
         raise InvalidInputError("c0 dimension does not match the linear term")
-    if check_start and not math.isfinite(objective_eval(spec, c0)):
-        raise InvalidInputError("invalid start: objective is not finite at c0")
-    kernel = spec.kernel
     hist = _Anderson(cfg.anderson, c0.mat.size) if cfg.anderson else None
     x = c0.mat.copy()
 
@@ -223,7 +212,7 @@ def dr_solve(spec, cfg, c0, check_start=True):
     rejected = 0
     stop_reason = "max_iter"
     for k in range(cfg.max_iter):
-        u, d, chalf, f, sparse, r = _dr_step(spec, kernel, cfg, x)
+        u, d, chalf, f, sparse, r = _dr_step(spec, cfg, x)
         p = x + r
         res = float(np.linalg.norm(p - x))
         obj_trace.append(f)

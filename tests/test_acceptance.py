@@ -382,11 +382,7 @@ def test_criterion_3_dr_vs_projected_subgradient():
     s = empirical_cov(ds)
     tmat = s.mat - 0.01 * np.eye(5)
     spec = ObjectiveSpec(
-        divergence=HS,
-        t=SymMatrix(tmat, strict=False),
-        g0=Penalty.nuclear(0.2),
-        mu1=0.1,
-        psd=True,
+        ScalarKernel(HS, Penalty.nuclear(0.2), psd=True), SymMatrix(tmat, strict=False), 0.1
     )
     rep = dr_solve(
         spec, DRConfig(gamma=1.0, alpha=1.5, eps=1e-13, max_iter=20000),
@@ -415,11 +411,9 @@ def test_criterion_4_scaled_covariance_reproduction():
         ds = sample_gaussian(y_star, sigma, n, 200 + seed)
         s = empirical_cov(ds)
         spec = ObjectiveSpec(
-            divergence=HS,
-            t=SymMatrix(s.mat - sigma * sigma * np.eye(n), strict=False),
-            g0=Penalty.nuclear(0.2),
-            mu1=0.1,
-            psd=True,
+            ScalarKernel(HS, Penalty.nuclear(0.2), psd=True),
+            SymMatrix(s.mat - sigma * sigma * np.eye(n), strict=False),
+            0.1,
         )
         rep = dr_solve(
             spec, DRConfig(gamma=1.0, alpha=1.5, eps=1e-8, max_iter=2000),

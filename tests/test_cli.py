@@ -132,16 +132,29 @@ def test_negative_anderson_exit2(tmp_path, capsys):
     ("solve-glasso", "outer_eps", "0"), ("solve-glasso", "outer_max", "0"),
     ("bench", "mu0", "-1"), ("bench", "mu1", "-1"),
     ("bench", "outer_eps", "0"), ("bench", "outer_max", "0"),
+    # the MM outer keys are checked also when the method list leaves out mm
+    ("bench --method glasso", "outer_max", "0"), ("bench --method dr-noisy", "outer_eps", "-1"),
+    # non-finite values, and a negative support threshold
+    ("gen", "sigma", "nan"), ("gen --scenario glasso", "sigma", "inf"),
+    ("solve-cov", "sigma", "nan"), ("solve-cov", "gamma", "inf"),
+    ("solve-cov", "mu0", "inf"), ("solve-cov", "mu1", "inf"), ("solve-cov", "support_tol", "nan"),
+    ("solve-glasso", "sigma", "inf"), ("solve-glasso", "gamma", "inf"),
+    ("solve-glasso", "mu0", "nan"), ("solve-glasso", "mu1", "inf"), ("solve-glasso", "support_tol", "-1"),
+    ("bench", "sigma", "0.1,nan"), ("bench", "gamma", "inf"),
+    ("bench", "mu0", "inf"), ("bench", "mu1", "nan"), ("bench", "support_tol", "nan"),
 ])
 def test_bad_weight_or_outer_setting_exit2(tmp_path, capsys, cmd, key, value):
-    # a negative weight or an MM outer setting below its range is a
-    # configuration error naming the key, raised before anything is written
+    # a negative or non-finite weight, noise level or support threshold, a
+    # non-finite gamma or an MM outer setting below its range is a
+    # configuration error naming the key, raised before anything is written:
+    # not a traceback, an iteration-budget exit or a silently wrong metric
     small = {
+        "gen": ["--n", "8", "--blocks", "3,5", "--p", "0.1"],  # either scenario
         "solve-cov": ["--n", "8", "--blocks", "3,5"],
         "solve-glasso": ["--n", "8", "--p", "0.1"],
         "bench": ["--n", "8", "--p", "0.1", "--reps", "1"],
-    }[cmd]
-    rc = run([cmd, *small, "--" + key.replace("_", "-"), value, "--out", str(tmp_path / "o")])
+    }[cmd.split()[0]]
+    rc = run([*cmd.split(), *small, "--" + key.replace("_", "-"), value, "--out", str(tmp_path / "o")])
     assert rc == 2
     assert key in capsys.readouterr().err
     assert not (tmp_path / "o").exists()

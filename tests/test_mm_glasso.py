@@ -317,8 +317,8 @@ def test_mm_descent_guard_aborts_on_real_violation(monkeypatch):
     prob, _, _ = _problem(n=6, sigma=0.2, seed=20)
     real_dr = mm.dr_solve
 
-    def bad_dr(spec, cfg, c0, check_start=True):
-        rep = real_dr(spec, cfg, c0, check_start=check_start)
+    def bad_dr(spec, cfg, c0):
+        rep = real_dr(spec, cfg, c0)
         # corrupt the inner result enough to push F up well past the stall band;
         # shifting the carried eigenvalues by 0.5 gives the same matrix C + 0.5 I
         rep.c_final = SymMatrix(rep.c_final.mat + 0.5 * np.eye(rep.c_final.n), strict=False)
@@ -337,8 +337,8 @@ def test_mm_sparse_shadow_comes_from_the_published_step(monkeypatch):
     real_dr = mm.dr_solve
     reps = []
 
-    def recording_dr(spec, cfg, c0, check_start=True):
-        reps.append(real_dr(spec, cfg, c0, check_start=check_start))
+    def recording_dr(spec, cfg, c0):
+        reps.append(real_dr(spec, cfg, c0))
         return reps[-1]
 
     monkeypatch.setattr(mm, "dr_solve", recording_dr)

@@ -9,6 +9,7 @@ from symprox import (
     InvalidInputError,
     ObjectiveSpec,
     Penalty,
+    ScalarKernel,
     SymMatrix,
     dr_solve,
     format_summary,
@@ -44,13 +45,8 @@ def _cov_spec(n, sigma, seed, mu0=0.2, mu1=0.1, blocks=None):
     ds = sample_gaussian(y_star, sigma, n, seed + 1)
     s = empirical_cov(ds)
     tmat = s.mat - sigma * sigma * np.eye(n)
-    spec = ObjectiveSpec(
-        divergence=HS,
-        t=SymMatrix(tmat, strict=False),
-        g0=Penalty.nuclear(mu0) if mu0 > 0 else Penalty.none(),
-        mu1=mu1,
-        psd=True,
-    )
+    g0 = Penalty.nuclear(mu0) if mu0 > 0 else Penalty.none()
+    spec = ObjectiveSpec(ScalarKernel(HS, g0, psd=True), SymMatrix(tmat, strict=False), mu1)
     return spec, s, y_star
 
 
@@ -66,9 +62,9 @@ def test_prox_l1_examples():
 
 
 def test_objective_eval_examples():
-    spec = ObjectiveSpec(divergence=HS, t=_zeros(2), g0=Penalty.none(), mu1=0.0)
+    spec = ObjectiveSpec(ScalarKernel(HS, Penalty.none()), _zeros(2))
     assert objective_eval(spec, np.eye(2)) == pytest.approx(1.0, abs=1e-14)
-    spec_b = ObjectiveSpec(divergence=BURG, t=_zeros(3), g0=Penalty.none(), mu1=0.0)
+    spec_b = ObjectiveSpec(ScalarKernel(BURG, Penalty.none()), _zeros(3))
     assert objective_eval(spec_b, np.eye(3)) == pytest.approx(0.0, abs=1e-14)
 
 
@@ -79,16 +75,12 @@ def test_objective_eval_componentwise_oracle():
         c = rand_sym(rng, n) + 2.5 * np.eye(n)
         tmat = rand_sym(rng, n, scale=0.4)
         mu1 = float(rng.uniform(0.0, 0.5))
-        spec = ObjectiveSpec(
-            divergence=BURG,
-            t=SymMatrix(tmat, strict=False),
-            g0=Penalty.schatten(0.3, 3.0),
-            mu1=mu1,
-        )
+        kernel = ScalarKernel(BURG, Penalty.schatten(0.3, 3.0))
+        spec = ObjectiveSpec(kernel, SymMatrix(tmat, strict=False), mu1)
         lam = np.linalg.eigvalsh(SymMatrix(c).mat)
         expect = (
             float(np.sum(phi_value("burg", 0.0, lam)))
-            + float(np.sum(psi_value(spec.g0, lam)))
+            + float(np.sum(psi_value(spec.kernel.penalty, lam)))
             - float(np.sum(tmat * SymMatrix(c).mat))
             + mu1 * float(np.abs(SymMatrix(c).mat).sum())
         )
@@ -96,7 +88,7 @@ def test_objective_eval_componentwise_oracle():
 
 
 def test_objective_eval_psd_indicator():
-    spec = ObjectiveSpec(divergence=HS, t=_zeros(2), g0=Penalty.none(), psd=True)
+    spec = ObjectiveSpec(ScalarKernel(HS, Penalty.none(), psd=True), _zeros(2))
     assert objective_eval(spec, np.diag([1.0, -0.5])) == math.inf
     assert math.isfinite(objective_eval(spec, np.diag([1.0, 0.0])))
 
@@ -104,7 +96,7 @@ def test_objective_eval_psd_indicator():
 def test_dr_unregularized_quadratic():
     # min ||C||^2/2: the solution is zero and the first shadow is c0/(1+gamma)
     n = 4
-    spec = ObjectiveSpec(divergence=HS, t=_zeros(n), g0=Penalty.none(), mu1=0.0)
+    spec = ObjectiveSpec(ScalarKernel(HS, Penalty.none()), _zeros(n))
     c0 = SymMatrix(np.diag([4.0, 3.0, 2.0, 1.0]))
     cfg = DRConfig(gamma=1.0, alpha=1.5, eps=1e-14, max_iter=500)
     rep = dr_solve(spec, cfg, c0)
@@ -114,10 +106,18 @@ def test_dr_unregularized_quadratic():
     )
 
 
-def test_dr_invalid_start():
-    spec = ObjectiveSpec(divergence=BURG, t=_zeros(2), g0=Penalty.none(), mu1=0.1)
+def test_dr_starts_outside_the_domain():
+    # the first shadow iterate is a prox, so it lies in the domain of Burg's
+    # -log det even from a start that does not: the run converges to the
+    # solution it reaches from the identity; only the start's size is checked
+    spec = ObjectiveSpec(ScalarKernel(BURG, Penalty.none()), _zeros(2), 0.1)
+    out = dr_solve(spec, DRConfig(), np.diag([1.0, -1.0]))
+    ref = dr_solve(spec, DRConfig(), np.eye(2))
+    assert out.stop_reason == ref.stop_reason == "tolerance"
+    assert math.isfinite(out.objective_trace[0])
+    assert out.objective_trace[-1] == pytest.approx(ref.objective_trace[-1], rel=1e-9)
     with pytest.raises(InvalidInputError):
-        dr_solve(spec, DRConfig(), np.diag([1.0, -1.0]))
+        dr_solve(spec, DRConfig(), np.eye(3))
 
 
 def test_dr_deterministic_traces():
@@ -195,7 +195,7 @@ def test_dr_warm_start_state_resumes():
     c0 = SymMatrix(s.mat + np.eye(8), strict=False)
     full = dr_solve(spec, DRConfig(1.0, 1.5, 1e-12, 400), c0)
     half1 = dr_solve(spec, DRConfig(1.0, 1.5, 0.0, 100), c0)
-    half2 = dr_solve(spec, DRConfig(1.0, 1.5, 1e-12, 300), half1.c_state, check_start=False)
+    half2 = dr_solve(spec, DRConfig(1.0, 1.5, 1e-12, 300), half1.c_state)
     assert half2.objective_trace[-1] == pytest.approx(full.objective_trace[-1], rel=1e-9)
 
 
@@ -230,8 +230,13 @@ def test_config_validation():
         MMConfig(outer_eps=0.0)
     cfg = MMConfig(inner=DRConfig(max_iter=np.int64(50), anderson=np.int32(2)), outer_max=np.int64(3))
     assert (cfg.inner.max_iter, cfg.inner.anderson, cfg.outer_max) == (50, 2, 3)
-    with pytest.raises(Exception):
-        ObjectiveSpec(divergence=BURG, t=_zeros(2), g0=Penalty.rank(0.5))
+    with pytest.raises(ConfigurationError, match="unsupported pairing"):
+        ObjectiveSpec(ScalarKernel(BURG, Penalty.rank(0.5)), _zeros(2))
+    with pytest.raises(ConfigurationError, match="mu1"):
+        ObjectiveSpec(ScalarKernel(HS, Penalty.none()), _zeros(2), math.nan)
+    for bad in (math.inf, math.nan, -1.0):
+        with pytest.raises(ConfigurationError, match="gamma"):
+            DRConfig(gamma=bad)
 
 
 def _plain_dr(spec, cfg, c0):
@@ -242,7 +247,7 @@ def _plain_dr(spec, cfg, c0):
         u, lam = _eigh_desc(c + g * spec.t.mat)
         d = kernel_prox_vec(kernel, g, lam)
         chalf = _recompose_raw(u, d)
-        f = _objective_from_d(spec, kernel, d, chalf)
+        f = _objective_from_d(spec, d, chalf)
         objs.append(f)
         sparse = soft(g * spec.mu1, 2.0 * chalf - c)
         c_next = c + cfg.alpha * (sparse - chalf)
@@ -282,8 +287,8 @@ def test_rejected_candidates_fall_back_to_plain_dr(monkeypatch, max_iter):
         candidates.append(make(self, p, r))
         return candidates[-1]
 
-    def rejected_step(spec, kernel, cfg, c):
-        out = step(spec, kernel, cfg, c)
+    def rejected_step(spec, cfg, c):
+        out = step(spec, cfg, c)
         if any(c is cand for cand in candidates):
             return (*out[:5], np.full_like(out[5], np.inf))
         return out
