@@ -37,8 +37,9 @@ class NoisyGlassoProblem:
     kernel: ScalarKernel = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.sigma2 < 0 or self.mu0 < 0 or self.mu1 < 0:
-            raise InvalidInputError("sigma2, mu0, mu1 must be nonnegative")
+        for key, x in (("sigma2", self.sigma2), ("mu0", self.mu0), ("mu1", self.mu1)):
+            if not 0 <= x < math.inf:
+                raise InvalidInputError(f"{key} must be nonnegative and finite, got {x!r}")
         s = as_sym(self.s)
         w, v = np.linalg.eigh(s.mat)
         if not _psd_ok(w):
@@ -234,11 +235,10 @@ def glasso_solve(s, mu1, cfg=None, c0=None):
 
 def dr_noisy_baseline(s, mu0, mu1, cfg=None, c0=None):
     """Noise-blind Douglas-Rachford baseline: -log det(C) + trace(CS)
-    + mu0*sum 1/lambda_i(C) + mu1*||C||_1 in a single convex solve."""
+    + mu0*sum 1/lambda_i(C) + mu1*||C||_1 in a single convex solve, with
+    the problem's kernel at sigma2 = 0 (noisy Burg there is Burg)."""
     prob = NoisyGlassoProblem(s=s, sigma2=0.0, mu0=mu0, mu1=mu1)
     cfg = cfg or MMConfig().inner
     t = SymMatrix(-prob.s.mat, strict=False)
-    # Burg, not prob.kernel's noisy_burg(0): equal in exact arithmetic, but rounded differently
-    spec = ObjectiveSpec(ScalarKernel(Divergence.burg(), prob.kernel.penalty), t, mu1)
     c0 = as_sym(c0) if c0 is not None else default_init(prob)
-    return dr_solve(spec, cfg, c0)
+    return dr_solve(ObjectiveSpec(prob.kernel, t, mu1), cfg, c0)

@@ -52,6 +52,12 @@ _SUPPORTED = {
 _IND_SLACK = 1e-10  # float-dust slack when evaluating indicator penalties
 
 
+def _check_gamma(gamma):
+    """The one rule for a prox scale, wherever one is given: 0 < gamma < inf."""
+    if not 0 < gamma < math.inf:
+        raise ConfigurationError(f"gamma must be positive and finite, got {gamma!r}")
+
+
 @dataclass(frozen=True)
 class Divergence:
     """Per-eigenvalue divergence phi.
@@ -386,6 +392,7 @@ def _newton_up_vec(hdh, x, tol=1e-12, max_iter=200):
 
 # The noisy-Burg and inverse-Schatten derivatives share a factor between
 # the first and second derivative, so each is a function that forms it once.
+# Burg is noisy Burg at s2 = 0 (Divergence.burg() carries sigma2 = 0).
 def _dphi_noisy_burg(s2, d):
     q = 1.0 / (d * (1.0 + s2 * d))
     return -q, (1.0 + 2.0 * s2 * d) * (q * q)
@@ -399,7 +406,7 @@ def _dpsi_inv_schatten(mu, p, d):
 # phi'(d), phi''(d) of each divergence on the interior of its domain
 _DPHI = {
     "half_square": lambda s2, d: (d, 1.0),
-    "burg": lambda s2, d: (-1.0 / d, 1.0 / (d * d)),
+    "burg": _dphi_noisy_burg,
     "shannon": lambda s2, d: (np.log(d) + 1.0, 1.0 / d),
     "noisy_burg": _dphi_noisy_burg,
 }
@@ -458,13 +465,14 @@ def _phi_sum(div, lam):
     lo = lam.min()
     if lo < 0 or (lo == 0 and k != "shannon"):
         return math.inf
-    if k == "burg":
-        return float(-np.log(lam).sum())
     if k == "shannon":
         pos = lam > 0
         vals = lam[pos]
         return float((vals * np.log(vals)).sum())
-    # noisy_burg; sigma2 == 0 evaluates identically to burg since log1p(0) == 0
+    # the Burg family (Burg is sigma2 = 0, where log1p(0) == 0 adds nothing);
+    # an infinite eigenvalue is outside the domain (the sum below would be NaN)
+    if lam.max() == math.inf:
+        return math.inf
     return float((-np.log(lam) + np.log1p(div.sigma2 * lam)).sum())
 
 
@@ -665,8 +673,7 @@ def kernel_prox(k, gamma, lam):
     Convex kernels return a singleton; rank and Cauchy rows may return two
     tied points (caller takes the first for determinism).
     """
-    if not gamma > 0:
-        raise ConfigurationError("gamma must be positive")
+    _check_gamma(gamma)
     lam = np.array([max(float(lam), 0.0) if k.psd else float(lam)])
     if k.penalty.kind == "rank":
         x, margin = _rank_vec(k.divergence, k.penalty, gamma, lam)
@@ -695,8 +702,7 @@ def kernel_prox_vec(k, gamma, lam):
     nondecreasing in each |d_i|, except eig_box, whose lower bound is then
     at least 0, so that it sends every lam <= 0 to the same point.
     """
-    if not gamma > 0:
-        raise ConfigurationError("gamma must be positive")
+    _check_gamma(gamma)
     lam = np.maximum(lam, 0.0) if k.psd else np.asarray(lam, float)
     pen = k.penalty
     if pen.kind == "fro_norm":

@@ -18,6 +18,7 @@ from .scalarprox import (  # noqa: F401
     ScalarKernel,
     _DPHI,
     _bregman_prox_vec,
+    _check_gamma,
     _newton_bisect_vec,
     _phi_sum,
     kernel_prox_vec,
@@ -36,8 +37,7 @@ class SpectralProxRequest:
     c_bar: SymMatrix
 
     def __post_init__(self):
-        if not self.gamma > 0:
-            raise ConfigurationError("gamma must be positive")
+        _check_gamma(self.gamma)
         if self.t.n != self.c_bar.n:
             raise ConfigurationError("t and c_bar must share dimension")
 

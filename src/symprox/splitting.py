@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, InvalidInputError
-from .scalarprox import ScalarKernel, kernel_eval_vec, kernel_prox_vec, soft
+from .scalarprox import ScalarKernel, _check_gamma, kernel_eval_vec, kernel_prox_vec, soft
 from .symlin import EigenDecomp, SymMatrix, _eigh_desc, _recompose_raw, as_sym, format_float, write_csv
 
 
@@ -52,8 +52,7 @@ class DRConfig:
     anderson: int = 0
 
     def __post_init__(self):
-        if not 0 < self.gamma < math.inf:
-            raise ConfigurationError(f"gamma must be positive and finite, got {self.gamma!r}")
+        _check_gamma(self.gamma)
         if not 0.0 < self.alpha < 2.0:
             raise ConfigurationError("relaxation alpha must lie in (0, 2)")
         if not self.eps >= 0:

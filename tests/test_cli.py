@@ -46,6 +46,17 @@ def test_prox_missing_matrix_exit2(tmp_path, capsys):
     assert "matrix" in capsys.readouterr().err
 
 
+def test_prox_infinite_gamma_exit2(tmp_path, capsys):
+    # gamma follows the solver's rule, 0 < gamma < inf, checked before anything is written
+    m = tmp_path / "m.csv"
+    write_matrix_csv(np.eye(2), m)
+    rc = run(["prox", "--matrix", str(m), "--kernel", "penalty=none", "--gamma", "inf",
+              "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "gamma" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_prox_psd_is_the_constrained_prox(tmp_path, capsys):
     # fro_norm couples the eigenvalues: clipping the unconstrained prox
     # diag(1.2, -1.6) would give diag(1.2, 0) at objective 11.54

@@ -372,6 +372,11 @@ def test_problem_validation():
         NoisyGlassoProblem(s=SymMatrix(np.diag([1.0, -0.5])), sigma2=0.1)
     with pytest.raises(InvalidInputError):
         NoisyGlassoProblem(s=SymMatrix(np.eye(2)), sigma2=-0.1)
+    # a NaN or infinite weight or noise level is rejected, naming the key
+    for key in ("sigma2", "mu0", "mu1"):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(InvalidInputError, match=key):
+                NoisyGlassoProblem(s=SymMatrix(np.eye(2)), **{key: bad})
     # tiny negative eigenvalue dust is clipped to PSD
     s = np.diag([1.0, -1e-12])
     prob = NoisyGlassoProblem(s=SymMatrix(s, strict=False), sigma2=0.0)

@@ -146,15 +146,30 @@ def test_kernel_eval_examples():
     assert kernel_eval(kn, 2.0) == -math.log(2.0)
 
 
+# sigma2 = 0 parity grid: noisy Burg there is Burg, to the last bit
+_PARITY_GAMMAS = (0.05, 0.3, 1.0, 2.0, 7.0)
+_PARITY_MUS = (1e-3, 0.005, 0.3, 1.0, 20.0)
+_PARITY_LAMS = np.concatenate([-np.logspace(12, -8, 1500), [0.0], np.logspace(-8, 12, 1500)])
+
+
 def test_noisy_with_zero_sigma_matches_burg_exactly():
     kn = ScalarKernel(Divergence.noisy_burg(0.0), Penalty.none())
     kb = ScalarKernel(BURG, Penalty.none())
-    for lam in (0.3, 1.0, 2.5, 7.0):
+    for lam in (*_PARITY_LAMS, math.inf):
         assert kernel_eval(kn, lam) == kernel_eval(kb, lam)
+    pos = _PARITY_LAMS[_PARITY_LAMS > 0]
+    assert kernel_eval_vec(kn, pos) == kernel_eval_vec(kb, pos)
+    for g in _PARITY_GAMMAS:
+        np.testing.assert_array_equal(
+            kernel_prox_vec(kn, g, _PARITY_LAMS), kernel_prox_vec(kb, g, _PARITY_LAMS)
+        )
 
 
 def test_kernel_eval_outside_domain_is_inf():
     assert kernel_eval(ScalarKernel(BURG, Penalty.none()), -1.0) == math.inf
+    # an infinite eigenvalue is outside the Burg family's domain, without a warning
+    assert kernel_eval(ScalarKernel(BURG, Penalty.none()), math.inf) == math.inf
+    assert kernel_eval(ScalarKernel(Divergence.noisy_burg(0.5), Penalty.none()), math.inf) == math.inf
     assert kernel_eval(ScalarKernel(SHANNON, Penalty.none()), -0.1) == math.inf
     assert kernel_eval(ScalarKernel(SHANNON, Penalty.none()), 0.0) == 0.0
     k = ScalarKernel(HS, Penalty.inv_schatten(1.0, 1.0))
@@ -188,13 +203,14 @@ def test_prox_noisy_reduces_to_burg():
 
 
 def test_prox_noisy_sigma_zero_matches_burg_inv_schatten():
-    # with sigma2 = 0 and mu0 > 0 the two code routes solve the same cubic
-    kn = ScalarKernel(Divergence.noisy_burg(0.0), Penalty.inv_schatten(0.3, 1.0))
-    kb = ScalarKernel(BURG, Penalty.inv_schatten(0.3, 1.0))
-    for lam, g in ((0.0, 1.0), (2.3, 0.4), (-1.1, 1.7)):
-        (dn,) = kernel_prox(kn, g, lam)
-        (db,) = kernel_prox(kb, g, lam)
-        assert dn == pytest.approx(db, rel=1e-12)
+    # with sigma2 = 0 and mu0 > 0 both kernels solve the same cubic with the same arithmetic
+    for mu in _PARITY_MUS:
+        kn = ScalarKernel(Divergence.noisy_burg(0.0), Penalty.inv_schatten(mu, 1.0))
+        kb = ScalarKernel(BURG, Penalty.inv_schatten(mu, 1.0))
+        for g in _PARITY_GAMMAS:
+            np.testing.assert_array_equal(
+                kernel_prox_vec(kn, g, _PARITY_LAMS), kernel_prox_vec(kb, g, _PARITY_LAMS)
+            )
 
 
 # --- root solver -----------------------------------------------------------

@@ -25,7 +25,8 @@ from symprox.experiments import (
     gen_block_lowrank_cov,
     sample_gaussian,
 )
-from symprox.scalarprox import kernel_prox_vec
+from symprox.scalarprox import kernel_prox, kernel_prox_vec
+from symprox.spectralprox import SpectralProxRequest
 from symprox.splitting import _objective_from_d
 from symprox.symlin import _eigh_desc, _recompose_raw
 
@@ -234,9 +235,17 @@ def test_config_validation():
         ObjectiveSpec(ScalarKernel(BURG, Penalty.rank(0.5)), _zeros(2))
     with pytest.raises(ConfigurationError, match="mu1"):
         ObjectiveSpec(ScalarKernel(HS, Penalty.none()), _zeros(2), math.nan)
+    # one gamma rule for the solver and the three prox entry points
+    k = ScalarKernel(BURG, Penalty.none())
     for bad in (math.inf, math.nan, -1.0):
         with pytest.raises(ConfigurationError, match="gamma"):
             DRConfig(gamma=bad)
+        with pytest.raises(ConfigurationError, match="gamma"):
+            kernel_prox(k, bad, 1.0)
+        with pytest.raises(ConfigurationError, match="gamma"):
+            kernel_prox_vec(k, bad, np.ones(2))
+        with pytest.raises(ConfigurationError, match="gamma"):
+            SpectralProxRequest(k, bad, _zeros(2), _zeros(2))
 
 
 def _plain_dr(spec, cfg, c0):
