@@ -8,7 +8,6 @@ still written).
 """
 
 import argparse
-import math
 import os
 import sys
 import time
@@ -35,9 +34,9 @@ from .mm_glasso import (
     glasso_solve,
     mm_solve,
 )
-from .scalarprox import Divergence, Penalty, ScalarKernel, parse_kernel
+from .scalarprox import Divergence, Penalty, ScalarKernel, _check_real, parse_kernel
 from .spectralprox import SpectralProxRequest, prox_spectral
-from .splitting import DRConfig, ObjectiveSpec, dr_solve, objective_eval, write_trace_csv
+from .splitting import DRConfig, ObjectiveSpec, _check_count, dr_solve, objective_eval, write_trace_csv
 from .symlin import (
     SymMatrix,
     atomic_write_text,
@@ -157,8 +156,10 @@ def _effective(cmd, args):
         else:
             eff[key] = dflt
     for key in ("mu0", "mu1", "support_tol"):
-        if key in eff and not 0 <= eff[key] < math.inf:
-            raise ConfigurationError(f"key '{key}' must be finite and nonnegative, got {eff[key]}")
+        if key in eff:
+            _check_real(key, eff[key], strict=False)
+    if "seed" in eff:
+        _check_count("seed", eff["seed"], 0)
     if eff.get("data"):
         for key in _GENERATING:
             if key in defaults and (getattr(args, key) is not None or key in cfgfile):
@@ -175,9 +176,12 @@ def _sigma_list(text):
     try:
         vals = [float(tok) for tok in str(text).split(",") if tok.strip() != ""]
     except ValueError:
-        raise ConfigurationError(f"key 'sigma' expects a comma-separated float list, got '{text}'") from None
-    if not vals or not all(0 <= v < math.inf for v in vals):
-        raise ConfigurationError(f"key 'sigma' must list finite nonnegative values, got '{text}'")
+        vals = []
+    if not vals:
+        raise ConfigurationError(f"key 'sigma' expects a comma-separated float list, got '{text}'")
+    for v in vals:
+        _check_real("sigma", v, strict=False)
+        _check_real("sigma*sigma", v * v, strict=False)  # the noise variance
     return vals
 
 

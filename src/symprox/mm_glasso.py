@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, InvalidInputError, NumericError
-from .scalarprox import Divergence, Penalty, ScalarKernel, _phi_sum, kernel_eval_vec
+from .errors import DomainError, InvalidInputError, NumericError
+from .scalarprox import Divergence, Penalty, ScalarKernel, _check_real, _phi_sum, kernel_eval_vec
 from .splitting import DRConfig, ObjectiveSpec, SolveReport, _check_count, _rel_change_within, dr_solve
 from .symlin import EigenDecomp, SymMatrix, _psd_ok, _recompose_raw, as_sym, eig_sym, inner, recompose, spd_inverse
 
@@ -66,8 +66,7 @@ class MMConfig:
     outer_max: int = 20
 
     def __post_init__(self):
-        if not self.outer_eps > 0:
-            raise ConfigurationError(f"outer_eps must be positive, got {self.outer_eps!r}")
+        _check_real("outer_eps", self.outer_eps)
         _check_count("outer_max", self.outer_max, 1)
 
 

@@ -20,7 +20,7 @@ from .errors import BracketingError, ConfigurationError, DomainError, NumericErr
 from .symlin import _psd_ok
 
 _DIV_KINDS = ("half_square", "burg", "shannon", "noisy_burg")
-# The parameters each penalty kind takes; a kind that takes mu needs mu > 0.
+# The parameters each penalty kind takes; a kind that takes mu needs a finite mu > 0.
 _PEN_PARAMS = {
     "none": (),
     "nuclear": ("mu",),
@@ -52,10 +52,11 @@ _SUPPORTED = {
 _IND_SLACK = 1e-10  # float-dust slack when evaluating indicator penalties
 
 
-def _check_gamma(gamma):
-    """The one rule for a prox scale, wherever one is given: 0 < gamma < inf."""
-    if not 0 < gamma < math.inf:
-        raise ConfigurationError(f"gamma must be positive and finite, got {gamma!r}")
+def _check_real(key, x, least=0.0, strict=True):
+    """The one rule for a real parameter: finite and x > least (x >= least when not strict)."""
+    if not (least < x < math.inf if strict else least <= x < math.inf):
+        op = ">" if strict else ">="
+        raise ConfigurationError(f"{key} must be finite and {key} {op} {least:g}, got {x!r}")
 
 
 @dataclass(frozen=True)
@@ -72,8 +73,7 @@ class Divergence:
     def __post_init__(self):
         if self.kind not in _DIV_KINDS:
             raise ConfigurationError(f"unknown divergence '{self.kind}'")
-        if self.sigma2 < 0:
-            raise ConfigurationError("sigma2 must be nonnegative")
+        _check_real("sigma2", self.sigma2, strict=False)
         if self.kind != "noisy_burg" and self.sigma2 != 0.0:
             raise ConfigurationError("sigma2 only applies to the noisy_burg divergence")
 
@@ -109,14 +109,14 @@ class Penalty:
         k = self.kind
         if k not in _PEN_PARAMS:
             raise ConfigurationError(f"unknown penalty '{k}'")
-        if "mu" in _PEN_PARAMS[k] and not self.mu > 0:
-            raise ConfigurationError(f"penalty '{k}' requires weight mu > 0")
-        if k == "schatten" and not self.p >= 1:
-            raise ConfigurationError("schatten penalty requires p >= 1")
-        if k == "inv_schatten" and not self.p > 0:
-            raise ConfigurationError("inv_schatten penalty requires p > 0")
-        if k == "cauchy" and not self.eps > 0:
-            raise ConfigurationError("cauchy penalty requires eps > 0")
+        if "mu" in _PEN_PARAMS[k]:
+            _check_real("mu", self.mu)
+        if k == "schatten":
+            _check_real("p", self.p, 1.0, strict=False)
+        if k == "inv_schatten":
+            _check_real("p", self.p)
+        if k == "cauchy":
+            _check_real("eps", self.eps)
         if k == "fro_ball" and not self.alpha >= 0:
             raise ConfigurationError("fro_ball radius must be nonnegative")
         if k == "eig_box" and not self.alpha <= self.beta:
@@ -673,7 +673,7 @@ def kernel_prox(k, gamma, lam):
     Convex kernels return a singleton; rank and Cauchy rows may return two
     tied points (caller takes the first for determinism).
     """
-    _check_gamma(gamma)
+    _check_real("gamma", gamma)
     lam = np.array([max(float(lam), 0.0) if k.psd else float(lam)])
     if k.penalty.kind == "rank":
         x, margin = _rank_vec(k.divergence, k.penalty, gamma, lam)
@@ -702,7 +702,7 @@ def kernel_prox_vec(k, gamma, lam):
     nondecreasing in each |d_i|, except eig_box, whose lower bound is then
     at least 0, so that it sends every lam <= 0 to the same point.
     """
-    _check_gamma(gamma)
+    _check_real("gamma", gamma)
     lam = np.maximum(lam, 0.0) if k.psd else np.asarray(lam, float)
     pen = k.penalty
     if pen.kind == "fro_norm":

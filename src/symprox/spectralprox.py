@@ -18,7 +18,7 @@ from .scalarprox import (  # noqa: F401
     ScalarKernel,
     _DPHI,
     _bregman_prox_vec,
-    _check_gamma,
+    _check_real,
     _newton_bisect_vec,
     _phi_sum,
     kernel_prox_vec,
@@ -37,7 +37,7 @@ class SpectralProxRequest:
     c_bar: SymMatrix
 
     def __post_init__(self):
-        _check_gamma(self.gamma)
+        _check_real("gamma", self.gamma)
         if self.t.n != self.c_bar.n:
             raise ConfigurationError("t and c_bar must share dimension")
 

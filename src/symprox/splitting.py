@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, InvalidInputError
-from .scalarprox import ScalarKernel, _check_gamma, kernel_eval_vec, kernel_prox_vec, soft
+from .scalarprox import ScalarKernel, _check_real, kernel_eval_vec, kernel_prox_vec, soft
 from .symlin import EigenDecomp, SymMatrix, _eigh_desc, _recompose_raw, as_sym, format_float, write_csv
 
 
@@ -34,8 +34,7 @@ class ObjectiveSpec:
     mu1: float = 0.0
 
     def __post_init__(self):
-        if not self.mu1 >= 0:
-            raise ConfigurationError("mu1 must be nonnegative")
+        _check_real("mu1", self.mu1, strict=False)
 
 
 @dataclass(frozen=True)
@@ -52,11 +51,10 @@ class DRConfig:
     anderson: int = 0
 
     def __post_init__(self):
-        _check_gamma(self.gamma)
+        _check_real("gamma", self.gamma)
         if not 0.0 < self.alpha < 2.0:
             raise ConfigurationError("relaxation alpha must lie in (0, 2)")
-        if not self.eps >= 0:
-            raise ConfigurationError("eps must be nonnegative")
+        _check_real("eps", self.eps, strict=False)
         _check_count("max_iter", self.max_iter, 1)
         _check_count("anderson", self.anderson, 0)
 
@@ -93,8 +91,7 @@ class SolveReport:
 
 def prox_l1_matrix(tau, m):
     """Elementwise soft threshold of a symmetric matrix (symmetry preserved)."""
-    if tau < 0:
-        raise ConfigurationError("tau must be nonnegative")
+    _check_real("tau", tau, strict=False)
     m = as_sym(m)
     return SymMatrix(soft(tau, m.mat), strict=False)
 

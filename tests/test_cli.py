@@ -57,6 +57,32 @@ def test_prox_infinite_gamma_exit2(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("kernel, key", [
+    ("penalty=nuclear mu=inf", "mu"), ("penalty=fro mu=inf", "mu"), ("penalty=cauchy mu=1 eps=inf", "eps"),
+    ("penalty=schatten mu=1 p=inf", "p"), ("penalty=invschatten mu=1 p=inf", "p"),
+    ("divergence=noisyburg sigma2=nan", "sigma2"), ("divergence=noisyburg sigma2=inf", "sigma2"),
+])
+def test_prox_non_finite_kernel_parameter_exit2(tmp_path, capsys, kernel, key):
+    # a kernel parameter follows the one real-parameter rule: not a zero matrix
+    # with objective=nan, a LinAlgError traceback or a root-solver exit 3
+    m = tmp_path / "m.csv"
+    write_matrix_csv(np.eye(2), m)
+    rc = run(["prox", "--matrix", str(m), "--kernel", kernel, "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert f"{key} must be finite and {key} " in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_unwritable_out_exit2(tmp_path, capsys):
+    # an output directory that cannot be made (here: under a regular file)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    rc = run(["gen", "--n", "8", "--blocks", "3,5", "--out", str(blocker / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and str(blocker / "o") in err
+
+
 def test_prox_psd_is_the_constrained_prox(tmp_path, capsys):
     # fro_norm couples the eigenvalues: clipping the unconstrained prox
     # diag(1.2, -1.6) would give diag(1.2, 0) at objective 11.54
@@ -153,11 +179,18 @@ def test_negative_anderson_exit2(tmp_path, capsys):
     ("solve-glasso", "mu0", "nan"), ("solve-glasso", "mu1", "inf"), ("solve-glasso", "support_tol", "-1"),
     ("bench", "sigma", "0.1,nan"), ("bench", "gamma", "inf"),
     ("bench", "mu0", "inf"), ("bench", "mu1", "nan"), ("bench", "support_tol", "nan"),
+    # infinite tolerances, which stopped after one or two evaluations and exited 0
+    ("solve-cov", "eps", "inf"), ("solve-glasso", "outer_eps", "inf"),
+    # a negative seed, and a noise level whose variance sigma*sigma overflows
+    ("gen", "seed", "-1"), ("gen --scenario glasso", "seed", "-1"), ("solve-cov", "seed", "-1"),
+    ("solve-glasso", "seed", "-1"), ("bench", "seed", "-1"),
+    ("gen", "sigma", "1e200"), ("gen --scenario glasso", "sigma", "1e200"), ("solve-cov", "sigma", "1e200"),
+    ("solve-glasso", "sigma", "1e200"), ("bench", "sigma", "0.1,1e200"),
 ])
 def test_bad_weight_or_outer_setting_exit2(tmp_path, capsys, cmd, key, value):
-    # a negative or non-finite weight, noise level or support threshold, a
-    # non-finite gamma or an MM outer setting below its range is a
-    # configuration error naming the key, raised before anything is written:
+    # a negative or non-finite weight, tolerance, seed, noise level or support
+    # threshold, a non-finite gamma or an MM outer setting below its range is
+    # a configuration error naming the key, raised before anything is written:
     # not a traceback, an iteration-budget exit or a silently wrong metric
     small = {
         "gen": ["--n", "8", "--blocks", "3,5", "--p", "0.1"],  # either scenario

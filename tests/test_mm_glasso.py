@@ -343,13 +343,18 @@ def test_mm_sparse_shadow_comes_from_the_published_step(monkeypatch):
 
     monkeypatch.setattr(mm, "dr_solve", recording_dr)
     c0 = mm.default_init(prob)
-    # F at the start, then per inner solve; the last step is a hair uphill,
-    # inside the outer tolerance, so it is not published
-    for values, published in (([10.0, 9.0, 9.0 + 1e-9], 1), ([10.0, 10.0 + 1e-9], 0)):
+    # F at the start, then per inner solve; the last step is uphill and not
+    # published: by a hair, inside the outer tolerance, or by 5e-7, outside
+    # it (1e-8 relative) but inside the 1e-6 stall band
+    for values, published, stop in (
+        ([10.0, 9.0, 9.0 + 1e-9], 1, "tolerance"), ([10.0, 10.0 + 1e-9], 0, "tolerance"),
+        ([10.0, 9.0, 9.0 + 5e-7], 1, "stalled"), ([10.0, 10.0 + 5e-7], 0, "stalled"),
+    ):
         reps.clear()
         monkeypatch.setattr(mm, "objective_F", lambda prob, c, it=iter(values): next(it))
         rep = mm.mm_solve(prob, c0=c0)
-        assert rep.stop_reason == "tolerance" and len(reps) == published + 1
+        assert rep.stop_reason == stop and len(reps) == published + 1
+        assert rep.inner_iterations == [r.iterations for r in reps] and rep.last_inner is reps[-1]
         assert rep.outer_objectives == values[: published + 1]
         if published:
             assert rep.c_final is reps[-2].c_final and rep.c_sparse is reps[-2].c_sparse

@@ -25,7 +25,7 @@ from symprox.experiments import (
     gen_block_lowrank_cov,
     sample_gaussian,
 )
-from symprox.scalarprox import kernel_prox, kernel_prox_vec
+from symprox.scalarprox import _PEN_PARAMS, kernel_prox, kernel_prox_vec
 from symprox.spectralprox import SpectralProxRequest
 from symprox.splitting import _objective_from_d
 from symprox.symlin import _eigh_desc, _recompose_raw
@@ -70,22 +70,23 @@ def test_objective_eval_examples():
 
 
 def test_objective_eval_componentwise_oracle():
+    # the Schatten and fro_squared value rows of kernel_eval_vec against the oracle
     rng = np.random.default_rng(1)
     for _ in range(10):
         n = 4
         c = rand_sym(rng, n) + 2.5 * np.eye(n)
         tmat = rand_sym(rng, n, scale=0.4)
         mu1 = float(rng.uniform(0.0, 0.5))
-        kernel = ScalarKernel(BURG, Penalty.schatten(0.3, 3.0))
-        spec = ObjectiveSpec(kernel, SymMatrix(tmat, strict=False), mu1)
         lam = np.linalg.eigvalsh(SymMatrix(c).mat)
-        expect = (
-            float(np.sum(phi_value("burg", 0.0, lam)))
-            + float(np.sum(psi_value(spec.kernel.penalty, lam)))
-            - float(np.sum(tmat * SymMatrix(c).mat))
-            + mu1 * float(np.abs(SymMatrix(c).mat).sum())
-        )
-        assert objective_eval(spec, c) == pytest.approx(expect, rel=1e-12)
+        for pen in (Penalty.schatten(0.3, 3.0), Penalty.fro_squared(0.3)):
+            spec = ObjectiveSpec(ScalarKernel(BURG, pen), SymMatrix(tmat, strict=False), mu1)
+            expect = (
+                float(np.sum(phi_value("burg", 0.0, lam)))
+                + float(np.sum(psi_value(spec.kernel.penalty, lam)))
+                - float(np.sum(tmat * SymMatrix(c).mat))
+                + mu1 * float(np.abs(SymMatrix(c).mat).sum())
+            )
+            assert objective_eval(spec, c) == pytest.approx(expect, rel=1e-12)
 
 
 def test_objective_eval_psd_indicator():
@@ -246,6 +247,44 @@ def test_config_validation():
             kernel_prox_vec(k, bad, np.ones(2))
         with pytest.raises(ConfigurationError, match="gamma"):
             SpectralProxRequest(k, bad, _zeros(2), _zeros(2))
+
+
+_BURG_NONE = ScalarKernel(BURG, Penalty.none())
+# Every real parameter, where it is declared: (key, site, an accepted value
+# at or just above the bound, a finite value outside the range).  Set bounds
+# (eig_box, fro_ball, the l1-ball radius) may be infinite and are not here.
+_REAL_PARAMS = [
+    ("gamma", "DRConfig", lambda x: DRConfig(gamma=x), 1e-300, 0.0),
+    ("gamma", "kernel_prox", lambda x: kernel_prox(_BURG_NONE, x, 1.0), 1e-300, -1.0),
+    ("gamma", "kernel_prox_vec", lambda x: kernel_prox_vec(_BURG_NONE, x, np.ones(2)), 1e-300, 0.0),
+    ("gamma", "SpectralProxRequest", lambda x: SpectralProxRequest(_BURG_NONE, x, _zeros(2), _zeros(2)),
+     1e-300, -1.0),
+    ("sigma2", "noisy_burg", Divergence.noisy_burg, 0.0, -1e-300),
+    *[("mu", kind, lambda x, kind=kind: Penalty(kind, mu=x, p=1.0, eps=1.0), 1e-300, 0.0)
+      for kind, params in _PEN_PARAMS.items() if "mu" in params],
+    ("p", "schatten", lambda x: Penalty.schatten(1.0, x), 1.0, 1.0 - 1e-15),
+    ("p", "inv_schatten", lambda x: Penalty.inv_schatten(1.0, x), 1e-300, 0.0),
+    ("eps", "cauchy", lambda x: Penalty.cauchy(1.0, x), 1e-300, 0.0),
+    ("mu1", "ObjectiveSpec", lambda x: ObjectiveSpec(_BURG_NONE, _zeros(2), x), 0.0, -1e-300),
+    ("eps", "DRConfig", lambda x: DRConfig(eps=x), 0.0, -1e-300),
+    ("tau", "prox_l1_matrix", lambda x: prox_l1_matrix(x, np.eye(2)), 0.0, -1e-300),
+    ("outer_eps", "MMConfig", lambda x: MMConfig(outer_eps=x), 1e-300, 0.0),
+]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "outside"])
+@pytest.mark.parametrize(
+    "key, make, least, outside",
+    [pytest.param(key, make, least, out, id=f"{key}-{site}") for key, site, make, least, out in _REAL_PARAMS],
+)
+def test_real_parameter_is_finite_and_above_its_bound(key, make, least, outside, value):
+    # one rule for every real parameter: a NaN, an infinity or a value outside
+    # the range is a ConfigurationError in the rule's words, naming the key;
+    # a value at or just above the bound passes
+    make(least)
+    x = outside if value == "outside" else float(value)
+    with pytest.raises(ConfigurationError, match=rf"^{key} must be finite and {key} >=? "):
+        make(x)
 
 
 def _plain_dr(spec, cfg, c0):
