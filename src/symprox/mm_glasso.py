@@ -41,12 +41,13 @@ class NoisyGlassoProblem:
             if not 0 <= x < math.inf:
                 raise InvalidInputError(f"{key} must be nonnegative and finite, got {x!r}")
         s = as_sym(self.s)
-        w, v = np.linalg.eigh(s.mat)
+        w = np.linalg.eigvalsh(s.mat)
         if not _psd_ok(w):
             raise DomainError(
                 f"data matrix must be PSD (smallest eigenvalue {w[0]:.3e})"
             )
-        if w[0] < 0:
+        if w[0] < 0:  # decompose only to clip
+            w, v = np.linalg.eigh(s.mat)
             s = SymMatrix(_recompose_raw(v, np.maximum(w, 0.0)), strict=False)
         object.__setattr__(self, "s", s)
         pen = Penalty.inv_schatten(self.mu0, 1.0) if self.mu0 > 0 else Penalty.none()
@@ -60,7 +61,7 @@ class NoisyGlassoProblem:
 @dataclass(frozen=True)
 class MMConfig:
     inner: DRConfig = field(
-        default_factory=lambda: DRConfig(gamma=1.0, alpha=1.0, eps=1e-10, max_iter=2000, anderson=3)
+        default_factory=lambda: DRConfig(gamma=1.0, alpha=1.0, eps=1e-10, max_iter=2000, anderson=6)
     )
     outer_eps: float = 1e-8
     outer_max: int = 20
@@ -239,5 +240,5 @@ def dr_noisy_baseline(s, mu0, mu1, cfg=None, c0=None):
     prob = NoisyGlassoProblem(s=s, sigma2=0.0, mu0=mu0, mu1=mu1)
     cfg = cfg or MMConfig().inner
     t = SymMatrix(-prob.s.mat, strict=False)
-    c0 = as_sym(c0) if c0 is not None else default_init(prob)
-    return dr_solve(ObjectiveSpec(prob.kernel, t, mu1), cfg, c0)
+    # the start is passed, not bound here, so that dr_solve can free it
+    return dr_solve(ObjectiveSpec(prob.kernel, t, mu1), cfg, default_init(prob) if c0 is None else c0)

@@ -206,8 +206,12 @@ def soft(mu, xi, out=None):
     """Soft threshold: shrink xi toward zero by mu, keeping the sign of xi
     (a zero result is -0.0 where xi < 0, or xi is -0.0).  With out (an
     array, which may be xi itself) the result is written there."""
-    out = np.copysign(np.maximum(np.abs(xi) - mu, 0.0), xi, out=out)
-    return float(out) if np.ndim(out) == 0 else out
+    t = np.abs(xi)  # the one temporary: each step below writes into it
+    if np.ndim(t) == 0:
+        return float(np.copysign(np.maximum(t - mu, 0.0), xi))
+    np.subtract(t, mu, out=t)
+    np.maximum(t, 0.0, out=t)
+    return np.copysign(t, xi, out=t if out is None else out)
 
 
 def hard(mu, xi):
@@ -606,6 +610,11 @@ def _cauchy_scored(k, g, lam):
     deg = len(coefs) - 1
     comp = np.zeros((lam.size, deg, deg))
     comp[:, 0, :] = -np.stack(np.broadcast_arrays(*coefs[1:]), axis=1) / coefs[0]
+    if not np.isfinite(comp[:, 0, :]).all():
+        raise NumericError(
+            f"{k.divergence.kind}-cauchy prox: the candidate polynomial's coefficients overflow "
+            f"(mu={mu!r}, eps={eps!r}, gamma={g!r})"
+        )
     comp[:, np.arange(1, deg), np.arange(deg - 1)] = 1.0
     roots = np.linalg.eigvals(comp)
     # near-double real roots can come back as a pair with a tiny imaginary part

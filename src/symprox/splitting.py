@@ -191,39 +191,48 @@ def dr_solve(spec, cfg, c0):
     candidate built from the last m accepted steps and keeps it only if its
     fixed-point residual is no larger than the last accepted point's (the
     safeguard); otherwise the history is cleared and the plain step is taken
-    from that point.  The budget's last evaluation is always a plain step.
-    The stop rule compares consecutive accepted evaluations.  With m = 0
-    every evaluation is accepted and the loop is plain Douglas-Rachford.
+    from that point.  The stop rule compares consecutive accepted
+    evaluations, and a run stops only at a plain step: when it holds at an
+    accepted Anderson point, the next evaluation is the plain step from that
+    point, and the run stops if the rule holds there too.  The budget's last
+    evaluation is also a plain step.  With m = 0 every evaluation is a
+    plain, accepted one and the loop is plain Douglas-Rachford.
+
+    The start is read, never written, and not kept: once the loop has moved
+    off it, its storage is free unless the caller holds it.
     """
-    c0 = as_sym(c0)
-    if c0.n != spec.t.n:
+    x = as_sym(c0).mat
+    del c0
+    if x.shape != spec.t.mat.shape:
         raise InvalidInputError("c0 dimension does not match the linear term")
-    hist = _Anderson(cfg.anderson, c0.mat.size) if cfg.anderson else None
-    x = c0.mat.copy()
+    hist = _Anderson(cfg.anderson, x.size) if cfg.anderson else None
 
     obj_trace = []
     residuals = []
     f_prev = res_prev = p_prev = r_prev = None  # of the last accepted evaluation
-    extrapolated = False
+    extrapolated = stalled = False
     rejected = 0
     stop_reason = "max_iter"
     for k in range(cfg.max_iter):
+        u = chalf = sparse = p = r = None  # free the last evaluation's arrays before the next eigh
         u, d, chalf, f, sparse, r = _dr_step(spec, cfg, x)
         p = x + r
-        res = float(np.linalg.norm(p - x))
+        # an extrapolated x is dead past this line (no run stops there): reuse it
+        res = float(np.linalg.norm(np.subtract(p, x, out=x if extrapolated else None)))
         obj_trace.append(f)
         residuals.append(res)
         if extrapolated and not res <= res_prev:
             rejected += 1
             hist.clear()
         else:
-            if f_prev is not None and _rel_change_within(f, f_prev, cfg.eps):
+            stalled = f_prev is not None and _rel_change_within(f, f_prev, cfg.eps)
+            if stalled and not extrapolated:
                 stop_reason = "tolerance"
                 break  # x stays the pre-update governing iterate, the warm-start handle
             if hist is not None and p_prev is not None:
                 hist.push(p, p_prev, r, r_prev)
             f_prev, res_prev, p_prev, r_prev = f, res, p, r
-        extrapolated = hist is not None and hist.size > 0 and k < cfg.max_iter - 2
+        extrapolated = hist is not None and hist.size > 0 and not stalled and k < cfg.max_iter - 2
         x = hist.candidate(p_prev, r_prev) if extrapolated else p_prev
     del hist, p, r, p_prev, r_prev  # free the loop's storage before the report copies
     return SolveReport(

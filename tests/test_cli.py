@@ -73,6 +73,19 @@ def test_prox_non_finite_kernel_parameter_exit2(tmp_path, capsys, kernel, key):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("kernel", ["penalty=cauchy mu=1e308 eps=1", "divergence=burg penalty=cauchy mu=1e308 eps=1"])
+def test_prox_cauchy_coefficient_overflow_exit3(tmp_path, capsys, kernel):
+    # mu = 1e308 is finite, but 2*gamma*mu in the Cauchy candidate polynomial
+    # is not: a numeric error naming the row, not a LinAlgError traceback
+    m = tmp_path / "m.csv"
+    write_matrix_csv(np.eye(2), m)
+    rc = run(["prox", "--matrix", str(m), "--kernel", kernel, "--gamma", "2", "--out", str(tmp_path / "o")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric error: ") and "-cauchy prox" in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_unwritable_out_exit2(tmp_path, capsys):
     # an output directory that cannot be made (here: under a regular file)
     blocker = tmp_path / "file"

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -486,3 +488,40 @@ def test_mm_report_totals_the_inner_rejections(monkeypatch):
     rep = mm_solve(prob)
     assert rep.anderson_rejected == 2 * rep.outer_iterations > 0
     assert rep.inner_stop_reasons == ["max_iter"] * rep.outer_iterations
+
+
+def test_longer_anderson_history_does_not_stop_mm_early():
+    # the mm_n100 instance at sample seed 15838: with a stop test that could
+    # hold at an Anderson point, m >= 6 stopped its fourth inner solve after 9
+    # evaluations, at a residual about 10x the other solves', and MM ended
+    # 3e-9 (relative) above a tight reference against 1.1e-10 at m = 3
+    s = empirical_cov(sample_gaussian(spd_inverse(gen_sparse_precision(100, 1e-3, 0)), 0.2, 1000, 15838))
+    prob = NoisyGlassoProblem(s=s, sigma2=0.04, mu0=0.005, mu1=0.05)
+
+    def final_f(m):
+        rep = mm_solve(prob, MMConfig(inner=dataclasses.replace(MMConfig().inner, anderson=m)))
+        assert rep.stop_reason == "tolerance"
+        return rep.outer_objectives[-1]
+
+    f3 = final_f(3)
+    for m in (6, 8):
+        assert final_f(m) <= f3 + 1e-10 * abs(f3), m
+
+
+def test_glasso_peak_memory_in_matrix_units():
+    # tracemalloc's peak over one glasso_solve at the default config, in
+    # n x n float64 units.  Live at the peak: T, the iterate, the last
+    # accepted step and its residual, the Anderson history (m float32 row
+    # pairs, m units), the eigenvectors, the shadow and its soft threshold,
+    # the new step and residual, plus the numpy buffers of a float32 cast.
+    # The bound leaves less than one unit of headroom: one more n x n
+    # temporary or history row fails it
+    prob, _, _ = _problem(n=100, seed=0)
+    tracemalloc.start()
+    try:
+        rep = glasso_solve(prob.s, 0.05)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.stop_reason == "tolerance"
+    assert peak < 16.5 * 8 * 100 * 100

@@ -356,6 +356,32 @@ def test_rejected_candidates_fall_back_to_plain_dr(monkeypatch, max_iter):
     assert plain.stop_reason == ("tolerance" if max_iter == 2000 else "max_iter")
 
 
+@pytest.mark.parametrize("m", [3, 6])
+def test_anderson_run_stops_only_after_a_plain_step(monkeypatch, m):
+    # the stop test can hold at an accepted Anderson point; the run then takes
+    # the plain step from that point and stops only if the test holds there
+    # too, so a run that stops on tolerance ends on a plain evaluation
+    spec, s, _ = _cov_spec(8, 0.1, seed=4)
+    c0 = SymMatrix(s.mat + np.eye(8), strict=False)
+    candidates, at_candidate = [], []
+    make, step = splitting._Anderson.candidate, splitting._dr_step
+
+    def candidate(self, p, r):
+        candidates.append(make(self, p, r))
+        return candidates[-1]
+
+    def recorded_step(spec, cfg, c):
+        at_candidate.append(any(c is cand for cand in candidates))
+        return step(spec, cfg, c)
+
+    monkeypatch.setattr(splitting._Anderson, "candidate", candidate)
+    monkeypatch.setattr(splitting, "_dr_step", recorded_step)
+    rep = dr_solve(spec, DRConfig(gamma=1.0, alpha=1.5, eps=1e-10, max_iter=2000, anderson=m), c0)
+    assert rep.stop_reason == "tolerance"
+    assert len(at_candidate) == rep.iterations and any(at_candidate)
+    assert not at_candidate[-1]
+
+
 def test_anderson_budget_counts_every_evaluation():
     spec, s, _ = _cov_spec(12, 0.1, seed=8)
     c0 = SymMatrix(s.mat + np.eye(12), strict=False)
@@ -367,7 +393,7 @@ def test_anderson_budget_counts_every_evaluation():
 
 
 def test_anderson_config():
-    assert DRConfig().anderson == 0 and MMConfig().inner.anderson == 3
+    assert DRConfig().anderson == 0 and MMConfig().inner.anderson == 6
     for bad in (-1, 1.5, 3.0, True):
         with pytest.raises(ConfigurationError, match="anderson"):
             DRConfig(anderson=bad)
