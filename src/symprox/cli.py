@@ -15,7 +15,7 @@ from dataclasses import asdict, fields, replace
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericError, SymproxError
+from .errors import ConfigurationError, NumericError, SymproxError, _check_count, _check_real
 from .experiments import (
     BlockSpec,
     clipped_raw_estimator,
@@ -34,9 +34,9 @@ from .mm_glasso import (
     glasso_solve,
     mm_solve,
 )
-from .scalarprox import Divergence, Penalty, ScalarKernel, _check_real, parse_kernel
+from .scalarprox import Divergence, Penalty, ScalarKernel, parse_kernel
 from .spectralprox import SpectralProxRequest, prox_spectral
-from .splitting import DRConfig, ObjectiveSpec, _check_count, dr_solve, objective_eval, write_trace_csv
+from .splitting import DRConfig, ObjectiveSpec, dr_solve, objective_eval, write_trace_csv
 from .symlin import (
     SymMatrix,
     atomic_write_text,
@@ -158,8 +158,6 @@ def _effective(cmd, args):
     for key in ("mu0", "mu1", "support_tol"):
         if key in eff:
             _check_real(key, eff[key], strict=False)
-    if "seed" in eff:
-        _check_count("seed", eff["seed"], 0)
     if eff.get("data"):
         for key in _GENERATING:
             if key in defaults and (getattr(args, key) is not None or key in cfgfile):
@@ -205,41 +203,26 @@ def _blocks_list(text):
 # dataset helpers shared by gen / solve / bench
 
 
-def _check_nsamples(eff):
-    if eff["nsamples"] is not None and eff["nsamples"] < 1:
-        raise ConfigurationError("key 'nsamples' must be at least 1")
-
-
 def _make_cov_dataset(eff):
     blocks = _blocks_list(eff["blocks"])
     if eff["n"] != blocks.n:
         raise ConfigurationError(
             f"key 'n' ({eff['n']}) disagrees with the sum of 'blocks' ({blocks.n})"
         )
-    _check_nsamples(eff)
     sigma = _sigma_one(eff)
     y_star = gen_block_lowrank_cov(blocks, eff["seed"])
-    n_samples = eff["nsamples"] if eff["nsamples"] else blocks.n
-    ds = sample_gaussian(y_star, sigma, n_samples, eff["seed"] + 1)
+    nsamples = blocks.n if eff["nsamples"] is None else eff["nsamples"]
+    ds = sample_gaussian(y_star, sigma, nsamples, eff["seed"] + 1)
     extra = {"generator": "block_lowrank", "blocks": eff["blocks"]}
     return ds, None, extra
 
 
-def _check_glasso_keys(eff):
-    if not 0.0 < eff["p"] < 1.0:
-        raise ConfigurationError(f"key 'p' must lie in (0, 1), got {eff['p']}")
-    if eff["n"] < 1:
-        raise ConfigurationError("key 'n' must be at least 1")
-    _check_nsamples(eff)
-
-
 def _make_glasso_dataset(eff):
-    _check_glasso_keys(eff)
     sigma = _sigma_one(eff)
     c_star = gen_sparse_precision(eff["n"], eff["p"], eff["seed"])
     y_star = spd_inverse(c_star)
-    n_samples = eff["nsamples"] if eff["nsamples"] else 1000
-    ds = sample_gaussian(y_star, sigma, n_samples, eff["seed"] + 1)
+    nsamples = 1000 if eff["nsamples"] is None else eff["nsamples"]
+    ds = sample_gaussian(y_star, sigma, nsamples, eff["seed"] + 1)
     extra = {"generator": "sparse_precision", "p": eff["p"]}
     return ds, c_star, extra
 
@@ -395,10 +378,7 @@ def _cmd_bench(eff):
     if not methods:
         raise ConfigurationError("key 'method' must list at least one method")
     methods = [m for m in _METHODS if m in methods]  # canonical row order
-    if not eff["reps"] >= 1:
-        raise ConfigurationError("key 'reps' must be at least 1")
-
-    _check_glasso_keys(eff)
+    _check_count("reps", eff["reps"], 1)
     cfg = _mm_config(eff)  # every method: the MM outer keys are checked even when mm is not run
     c_star = gen_sparse_precision(eff["n"], eff["p"], eff["seed"])
     y_star = spd_inverse(c_star)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, InvalidInputError, NumericError
+from .errors import ConfigurationError, InvalidInputError, NumericError, _check_count
 from .symlin import (
     SymMatrix,
     _recompose_raw,
@@ -26,6 +26,7 @@ from .symlin import (
 
 
 def _rng(seed):
+    _check_count("seed", seed, 0)
     return np.random.Generator(np.random.PCG64(int(seed)))
 
 
@@ -47,10 +48,12 @@ class BlockSpec:
     block_sizes: tuple
 
     def __post_init__(self):
-        sizes = tuple(int(r) for r in self.block_sizes)
-        if not sizes or any(r < 1 for r in sizes):
-            raise InvalidInputError("block sizes must be positive integers")
-        object.__setattr__(self, "block_sizes", sizes)
+        sizes = tuple(self.block_sizes)
+        if not sizes:
+            raise ConfigurationError("blocks must list at least one block size")
+        for r in sizes:
+            _check_count("blocks", r, 1)
+        object.__setattr__(self, "block_sizes", tuple(int(r) for r in sizes))
 
     @property
     def n(self):
@@ -97,8 +100,9 @@ def gen_sparse_precision(n, p, rng_seed):
     sign; the diagonal starts at one and is shifted so the smallest
     eigenvalue is at least 0.1.
     """
+    _check_count("n", n, 1)
     if not 0.0 < p < 1.0:
-        raise InvalidInputError("density p must lie in (0, 1)")
+        raise ConfigurationError(f"p must lie in (0, 1), got {p!r}")
     rng = _rng(rng_seed)
     k = int(round(p * n * n))
     iu, ju = np.triu_indices(n, k=1)
@@ -117,17 +121,16 @@ def gen_sparse_precision(n, p, rng_seed):
     return SymMatrix(m, strict=False)
 
 
-def sample_gaussian(y_star, sigma, n_samples, rng_seed):
-    """Draw n_samples vectors from N(0, y_star + sigma^2 I) via the
+def sample_gaussian(y_star, sigma, nsamples, rng_seed):
+    """Draw nsamples vectors from N(0, y_star + sigma^2 I) via the
     eigenvalue square root of the covariance."""
     y_star = as_sym(y_star)
-    if n_samples < 1:
-        raise InvalidInputError("n_samples must be at least 1")
+    _check_count("nsamples", nsamples, 1)
     n = y_star.n
     cov = y_star.mat + sigma * sigma * np.eye(n)
     w, v = np.linalg.eigh(cov)
     root = v * np.sqrt(np.maximum(w, 0.0))
-    z = _gauss(_rng(rng_seed), (int(n_samples), n))
+    z = _gauss(_rng(rng_seed), (int(nsamples), n))
     return Dataset(
         y_star=y_star, samples=z @ root.T, seed=int(rng_seed), sigma=float(sigma)
     )

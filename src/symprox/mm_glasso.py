@@ -17,9 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, InvalidInputError, NumericError
-from .scalarprox import Divergence, Penalty, ScalarKernel, _check_real, _phi_sum, kernel_eval_vec
-from .splitting import DRConfig, ObjectiveSpec, SolveReport, _check_count, _rel_change_within, dr_solve
+from .errors import DomainError, InvalidInputError, NumericError, _check_count, _check_real
+from .scalarprox import Divergence, Penalty, ScalarKernel, _phi_sum, kernel_eval_vec
+from .splitting import DRConfig, ObjectiveSpec, SolveReport, _rel_change_within, dr_solve
 from .symlin import EigenDecomp, SymMatrix, _psd_ok, _recompose_raw, as_sym, eig_sym, inner, recompose, spd_inverse
 
 
@@ -37,9 +37,8 @@ class NoisyGlassoProblem:
     kernel: ScalarKernel = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for key, x in (("sigma2", self.sigma2), ("mu0", self.mu0), ("mu1", self.mu1)):
-            if not 0 <= x < math.inf:
-                raise InvalidInputError(f"{key} must be nonnegative and finite, got {x!r}")
+        for key in ("sigma2", "mu0", "mu1"):
+            _check_real(key, getattr(self, key), strict=False)
         s = as_sym(self.s)
         w = np.linalg.eigvalsh(s.mat)
         if not _psd_ok(w):

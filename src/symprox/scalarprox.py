@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import BracketingError, ConfigurationError, DomainError, NumericError
+from .errors import BracketingError, ConfigurationError, DomainError, NumericError, _check_real
 from .symlin import _psd_ok
 
 _DIV_KINDS = ("half_square", "burg", "shannon", "noisy_burg")
@@ -50,13 +50,6 @@ _SUPPORTED = {
 }
 
 _IND_SLACK = 1e-10  # float-dust slack when evaluating indicator penalties
-
-
-def _check_real(key, x, least=0.0, strict=True):
-    """The one rule for a real parameter: finite and x > least (x >= least when not strict)."""
-    if not (least < x < math.inf if strict else least <= x < math.inf):
-        op = ">" if strict else ">="
-        raise ConfigurationError(f"{key} must be finite and {key} {op} {least:g}, got {x!r}")
 
 
 @dataclass(frozen=True)
@@ -543,7 +536,8 @@ def kernel_eval_vec(k, lam):
 def _burg_root(b, c):
     """The positive root of d^2 - b d - c (c > 0), without cancellation."""
     s = np.hypot(b, 2.0 * np.sqrt(c))  # sqrt(b^2 + 4c) without overflow
-    return np.where(b >= 0.0, 0.5 * (b + s), 2.0 * c / (s + np.abs(b)))
+    # halves summed, not a sum halved: s + |b| overflows when both are near the float max
+    return np.where(b >= 0.0, 0.5 * b + 0.5 * s, c / (0.5 * s + 0.5 * np.abs(b)))
 
 
 # prox of g*phi at lam for each divergence with a closed form
@@ -671,7 +665,12 @@ def _prox_separable_vec(div, pen, g, lam):
         return soft(g * pen.mu / (g + 1.0), prox_phi(g, lam))
     if deg == 1:
         # g*mu*d on d >= 0 shifts lam
-        return prox_phi(g, lam - g * pen.mu)
+        b = lam - g * pen.mu
+        if kind == "burg" and not np.isfinite(b).all():  # Burg's prox at -inf is 0, outside its domain
+            raise NumericError(
+                f"burg-{pen.kind} prox: lam - gamma*mu overflows (mu={pen.mu!r}, gamma={g!r})"
+            )
+        return prox_phi(g, b)
     d = prox_phi(g, lam)
     return np.clip(d, pen.alpha, pen.beta) if pen.kind == "eig_box" else d
 
@@ -725,8 +724,9 @@ def kernel_prox_vec(k, gamma, lam):
             return pen.alpha * lam / nrm
         return lam / (1.0 + gamma)
     if pen.kind == "spectral_norm":
-        mg = pen.mu * gamma
-        return (lam - mg * project_l1_ball(lam / mg, 1.0)) / (1.0 + gamma)
+        # Moreau: the prox of r*||.||_inf at lam is lam less its projection
+        # on the l1 ball of radius r = mu*gamma, which may be infinite
+        return (lam - project_l1_ball(lam, pen.mu * gamma)) / (1.0 + gamma)
     if pen.kind == "rank":
         x, margin = _rank_vec(k.divergence, pen, gamma, lam)
         return np.where(margin > 0.0, x, 0.0)

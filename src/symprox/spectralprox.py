@@ -12,13 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError, DomainError, _check_real
 # unused here: _newton_bisect_vec is imported for perfbench/tracing.py's ROOT_SOLVERS
 from .scalarprox import (  # noqa: F401
     ScalarKernel,
     _DPHI,
     _bregman_prox_vec,
-    _check_real,
     _newton_bisect_vec,
     _phi_sum,
     kernel_prox_vec,

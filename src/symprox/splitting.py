@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, InvalidInputError
-from .scalarprox import ScalarKernel, _check_real, kernel_eval_vec, kernel_prox_vec, soft
+from .errors import ConfigurationError, InvalidInputError, _check_count, _check_real
+from .scalarprox import ScalarKernel, kernel_eval_vec, kernel_prox_vec, soft
 from .symlin import EigenDecomp, SymMatrix, _eigh_desc, _recompose_raw, as_sym, format_float, write_csv
 
 
@@ -57,11 +57,6 @@ class DRConfig:
         _check_real("eps", self.eps, strict=False)
         _check_count("max_iter", self.max_iter, 1)
         _check_count("anderson", self.anderson, 0)
-
-
-def _check_count(key, value, least):
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-        raise ConfigurationError(f"{key} must be an integer >= {least}, got {value!r}")
 
 
 @dataclass

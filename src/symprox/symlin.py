@@ -29,7 +29,7 @@ class SymMatrix:
     __slots__ = ("mat", "asym_residual")
 
     def __init__(self, a, strict=True):
-        m = np.array(a, dtype=float)
+        m = np.asarray(a, dtype=float)  # only read: the stored matrix is a new array
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise InvalidInputError("SymMatrix requires a square 2-d array")
         if not np.all(np.isfinite(m)):

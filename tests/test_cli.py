@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -86,6 +87,32 @@ def test_prox_cauchy_coefficient_overflow_exit3(tmp_path, capsys, kernel):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("kernel, gamma, objective", [
+    # Burg's closed form formed s + |b|, which overflowed to a prox of 0,
+    # outside Burg's domain (objective=inf); the root is 1e-308, so the
+    # objective is 2*(-log 1e-308) + 1e308*tr(d) + ||d - I||^2/2
+    ("divergence=burg penalty=nuclear mu=1e308", "1", 2.0 * 308.0 * math.log(10.0) + 3.0),
+    # lam - gamma*mu itself overflows: a numeric error naming the row
+    ("divergence=burg penalty=nuclear mu=1e308", "2", None),
+    # the prox of I is 0, so the objective is ||I||^2 / (2 gamma); the rescaled
+    # projection (lam/(mu*gamma) on the unit l1 ball) gave 5.55e291 and NaN
+    ("penalty=spectral mu=1e308", "1", 1.0),
+    ("penalty=spectral mu=1e308", "2", 0.5),
+])
+def test_prox_at_extreme_weight(tmp_path, capsys, kernel, gamma, objective):
+    m = tmp_path / "m.csv"
+    write_matrix_csv(np.eye(2), m)
+    rc = run(["prox", "--matrix", str(m), "--kernel", kernel, "--gamma", gamma, "--out", str(tmp_path / "o")])
+    out, err = capsys.readouterr()
+    if objective is None:
+        assert rc == 3
+        assert err.startswith("numeric error: burg-nuclear prox: lam - gamma*mu overflows")
+        assert not (tmp_path / "o").exists()
+        return
+    assert rc == 0
+    assert float(re.search(r"objective=(\S+)", out).group(1)) == pytest.approx(objective, rel=1e-12)
+
+
 def test_unwritable_out_exit2(tmp_path, capsys):
     # an output directory that cannot be made (here: under a regular file)
     blocker = tmp_path / "file"
@@ -151,6 +178,18 @@ def test_gen_glasso_writes_precision(tmp_path):
     assert (out / "c_star.csv").exists()
 
 
+@pytest.mark.parametrize("argv, key", [
+    (["--blocks", "0,3"], "blocks"), (["--blocks", "3", "--nsamples", "0"], "nsamples"),
+])
+def test_gen_cov_count_below_its_bound_exit2(tmp_path, capsys, argv, key):
+    # a block size or sample count below 1 is a configuration error naming the
+    # key (a block size of 0 was a numeric error, exit 3), before anything is written
+    rc = run(["gen", "--scenario", "cov", "--n", "3", *argv, "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert f"{key} must be an integer >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_gen_invalid_params_exit2(tmp_path, capsys):
     rc = run(["gen", "--scenario", "cov", "--n", "9", "--blocks", "3,5", "--out", str(tmp_path)])
     assert rc == 2
@@ -199,6 +238,11 @@ def test_negative_anderson_exit2(tmp_path, capsys):
     ("solve-glasso", "seed", "-1"), ("bench", "seed", "-1"),
     ("gen", "sigma", "1e200"), ("gen --scenario glasso", "sigma", "1e200"), ("solve-cov", "sigma", "1e200"),
     ("solve-glasso", "sigma", "1e200"), ("bench", "sigma", "0.1,1e200"),
+    # counts below their bound and a density outside (0, 1), checked by the generators
+    ("gen --scenario glasso", "n", "0"), ("solve-glasso", "n", "0"), ("bench", "n", "0"),
+    ("gen", "nsamples", "0"), ("solve-cov", "nsamples", "0"), ("solve-glasso", "nsamples", "0"),
+    ("bench", "nsamples", "0"), ("bench", "reps", "0"),
+    ("gen --scenario glasso", "p", "2"), ("solve-glasso", "p", "2"), ("bench", "p", "2"),
 ])
 def test_bad_weight_or_outer_setting_exit2(tmp_path, capsys, cmd, key, value):
     # a negative or non-finite weight, tolerance, seed, noise level or support
@@ -360,8 +404,8 @@ def test_bench_unknown_method_exit2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flag, value, message", [
-    ("--nsamples", "0", "key 'nsamples' must be at least 1"),
-    ("--p", "1.5", "key 'p' must lie in (0, 1)"),
+    pytest.param("--nsamples", "0", "nsamples must be an integer >= 1, got 0", id="nsamples"),
+    pytest.param("--p", "1.5", "p must lie in (0, 1), got 1.5", id="p"),
 ])
 def test_bench_checks_data_keys_as_solve_glasso_does_exit2(tmp_path, capsys, flag, value, message):
     small = ["--n", "10", "--p", "0.05", "--sigma", "0.2", "--max-iter", "50"]

@@ -3,6 +3,7 @@ import pytest
 
 from symprox import (
     BlockSpec,
+    ConfigurationError,
     InvalidInputError,
     NumericError,
     SymMatrix,
@@ -20,9 +21,9 @@ from symprox import (
 
 def test_block_spec_validation():
     assert BlockSpec((2, 3)).n == 5
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(ConfigurationError, match="^blocks must list at least one"):
         BlockSpec(())
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(ConfigurationError, match=r"^blocks must be an integer >= 1"):
         BlockSpec((2, 0))
 
 
@@ -80,9 +81,9 @@ def test_sparse_precision_tiny_density_is_diagonal():
 
 
 def test_sparse_precision_validation():
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(ConfigurationError, match=r"^p must lie in \(0, 1\)"):
         gen_sparse_precision(10, 0.0, 0)
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(ConfigurationError, match=r"^p must lie in \(0, 1\)"):
         gen_sparse_precision(10, 1.0, 0)
 
 

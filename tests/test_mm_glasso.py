@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from symprox import (
+    ConfigurationError,
     DomainError,
     DRConfig,
     EigenDecomp,
@@ -377,12 +378,12 @@ def test_mm_config_defaults():
 def test_problem_validation():
     with pytest.raises(DomainError):
         NoisyGlassoProblem(s=SymMatrix(np.diag([1.0, -0.5])), sigma2=0.1)
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(ConfigurationError, match="sigma2"):
         NoisyGlassoProblem(s=SymMatrix(np.eye(2)), sigma2=-0.1)
     # a NaN or infinite weight or noise level is rejected, naming the key
     for key in ("sigma2", "mu0", "mu1"):
         for bad in (math.nan, math.inf):
-            with pytest.raises(InvalidInputError, match=key):
+            with pytest.raises(ConfigurationError, match=key):
                 NoisyGlassoProblem(s=SymMatrix(np.eye(2)), **{key: bad})
     # tiny negative eigenvalue dust is clipped to PSD
     s = np.diag([1.0, -1e-12])

@@ -18,11 +18,12 @@ from symprox import (
     soft,
     write_trace_csv,
 )
-from symprox import ConfigurationError, MMConfig, splitting
+from symprox import ConfigurationError, MMConfig, NoisyGlassoProblem, splitting
 from symprox.experiments import (
     BlockSpec,
     empirical_cov,
     gen_block_lowrank_cov,
+    gen_sparse_precision,
     sample_gaussian,
 )
 from symprox.scalarprox import _PEN_PARAMS, kernel_prox, kernel_prox_vec
@@ -269,6 +270,8 @@ _REAL_PARAMS = [
     ("eps", "DRConfig", lambda x: DRConfig(eps=x), 0.0, -1e-300),
     ("tau", "prox_l1_matrix", lambda x: prox_l1_matrix(x, np.eye(2)), 0.0, -1e-300),
     ("outer_eps", "MMConfig", lambda x: MMConfig(outer_eps=x), 1e-300, 0.0),
+    *[(key, "NoisyGlassoProblem", lambda x, key=key: NoisyGlassoProblem(s=_zeros(2), **{key: x}), 0.0, -1e-300)
+      for key in ("sigma2", "mu0", "mu1")],
 ]
 
 
@@ -284,6 +287,35 @@ def test_real_parameter_is_finite_and_above_its_bound(key, make, least, outside,
     make(least)
     x = outside if value == "outside" else float(value)
     with pytest.raises(ConfigurationError, match=rf"^{key} must be finite and {key} >=? "):
+        make(x)
+
+
+# Every count, where it is declared: (key, site, the least accepted value).
+_COUNT_PARAMS = [
+    ("max_iter", "DRConfig", lambda x: DRConfig(max_iter=x), 1),
+    ("anderson", "DRConfig", lambda x: DRConfig(anderson=x), 0),
+    ("outer_max", "MMConfig", lambda x: MMConfig(outer_max=x), 1),
+    ("blocks", "BlockSpec", lambda x: BlockSpec((2, x)), 1),
+    ("n", "gen_sparse_precision", lambda x: gen_sparse_precision(x, 0.5, 0), 1),
+    ("nsamples", "sample_gaussian", lambda x: sample_gaussian(_zeros(2), 0.1, x, 0), 1),
+    ("seed", "gen_block_lowrank_cov", lambda x: gen_block_lowrank_cov(BlockSpec((2,)), x), 0),
+    ("seed", "gen_sparse_precision", lambda x: gen_sparse_precision(3, 0.5, x), 0),
+    ("seed", "sample_gaussian", lambda x: sample_gaussian(_zeros(2), 0.1, 2, x), 0),
+]
+
+
+@pytest.mark.parametrize("value", ["bool", "float", "below"])
+@pytest.mark.parametrize(
+    "key, make, least",
+    [pytest.param(key, make, least, id=f"{key}-{site}") for key, site, make, least in _COUNT_PARAMS],
+)
+def test_count_parameter_is_an_integer_at_least_its_bound(key, make, least, value):
+    # one rule for every count: a bool, a float (even an integral one) or a
+    # value below the bound is a ConfigurationError in the rule's words,
+    # naming the key; the bound itself passes
+    make(least)
+    x = {"bool": True, "float": float(least), "below": least - 1}[value]
+    with pytest.raises(ConfigurationError, match=rf"^{key} must be an integer >= {least}, got "):
         make(x)
 
 
