@@ -15,7 +15,7 @@ from dataclasses import asdict, fields, replace
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericError, SymproxError, _check_count, _check_real
+from .errors import ConfigurationError, NumericError, _check_count, _check_real
 from .experiments import (
     BlockSpec,
     clipped_raw_estimator,
@@ -170,13 +170,20 @@ def _echo_config(eff, outdir):
     write_kv(os.path.join(outdir, "effective-config.txt"), eff)
 
 
-def _sigma_list(text):
+def _coerce_list(key, kind, text):
+    """Parse a comma-separated list key as a nonempty list of its kind, skipping blank tokens."""
     try:
-        vals = [float(tok) for tok in str(text).split(",") if tok.strip() != ""]
+        vals = [kind(tok.strip()) for tok in str(text).split(",") if tok.strip()]
     except ValueError:
         vals = []
     if not vals:
-        raise ConfigurationError(f"key 'sigma' expects a comma-separated float list, got '{text}'")
+        noun = {float: "numbers", int: "integers", str: "names"}[kind]
+        raise ConfigurationError(f"key '{key}' expects comma-separated {noun}, got '{text}'")
+    return vals
+
+
+def _sigma_list(text):
+    vals = _coerce_list("sigma", float, text)
     for v in vals:
         _check_real("sigma", v, strict=False)
         _check_real("sigma*sigma", v * v, strict=False)  # the noise variance
@@ -191,20 +198,12 @@ def _sigma_one(eff):
     return vals[0]
 
 
-def _blocks_list(text):
-    try:
-        sizes = tuple(int(tok) for tok in str(text).split(",") if tok.strip() != "")
-    except ValueError:
-        raise ConfigurationError(f"key 'blocks' expects comma-separated integers, got '{text}'") from None
-    return BlockSpec(sizes)
-
-
 # ---------------------------------------------------------------------------
 # dataset helpers shared by gen / solve / bench
 
 
 def _make_cov_dataset(eff):
-    blocks = _blocks_list(eff["blocks"])
+    blocks = BlockSpec(_coerce_list("blocks", int, eff["blocks"]))
     if eff["n"] != blocks.n:
         raise ConfigurationError(
             f"key 'n' ({eff['n']}) disagrees with the sum of 'blocks' ({blocks.n})"
@@ -366,18 +365,11 @@ def _bench_one(method, s, sigma, c_star, y_star, eff, cfg):
 
 def _cmd_bench(eff):
     sigmas = _sigma_list(eff["sigma"])
-    methods = []
-    for tok in str(eff["method"]).split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
+    methods = _coerce_list("method", str, eff["method"])
+    for tok in methods:
         if tok not in _METHODS:
             raise ConfigurationError(f"key 'method' lists unknown method '{tok}' (choose from {_METHODS})")
-        if tok not in methods:
-            methods.append(tok)
-    if not methods:
-        raise ConfigurationError("key 'method' must list at least one method")
-    methods = [m for m in _METHODS if m in methods]  # canonical row order
+    methods = [m for m in _METHODS if m in methods]  # canonical row order, each method once
     _check_count("reps", eff["reps"], 1)
     cfg = _mm_config(eff)  # every method: the MM outer keys are checked even when mm is not run
     c_star = gen_sparse_precision(eff["n"], eff["p"], eff["seed"])
@@ -449,9 +441,6 @@ def main(argv=None):
         return 2
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
-        return 3
-    except SymproxError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

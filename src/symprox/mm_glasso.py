@@ -118,8 +118,7 @@ def grad_trace_term(prob, c):
     a PSD matrix; c is a matrix or its EigenDecomp."""
     e, b = _psd_weights(prob, c)
     bm = _recompose_raw(e.u, b)
-    grad = bm @ prob.s.mat @ bm
-    return SymMatrix(0.5 * (grad + grad.T), strict=False)
+    return SymMatrix(bm @ prob.s.mat @ bm, strict=False)
 
 
 def f_noisy(prob, c):

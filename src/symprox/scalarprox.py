@@ -658,9 +658,11 @@ def _prox_separable_vec(div, pen, g, lam):
             return np.sign(lam) * _root_vec(div, pen, 1.0 / g, a / g, a + 1.0)
         return _root_vec(div, pen, 1.0 / g, lam / g, np.maximum(lam, 0.0) + 1.0)
     if deg == 2:
-        # g*mu*d^2 merges into the quadratic term: rescale gamma and lam
-        c = 1.0 + 2.0 * g * pen.mu
-        return prox_phi(g / c, lam / c)
+        # g*mu*d^2 merges into the quadratic term: gamma and lam scale by 1/(1 + 2*g*mu),
+        # formed over m = max(g, 1) so that neither 2*g*mu nor lam/g can overflow
+        m = max(g, 1.0)
+        a = 0.5 / m + g / m * pen.mu
+        return prox_phi(0.5 * g / m / a, 0.5 * lam / m / a)
     if deg == 1 and div.kind == "half_square":
         return soft(g * pen.mu / (g + 1.0), prox_phi(g, lam))
     if deg == 1:
@@ -748,8 +750,11 @@ def _bregman_prox_vec(div, pen, y):
     if pen.kind == "eig_box":
         return np.clip(y, pen.alpha, pen.beta)
     deg = _degree(pen)
-    if deg == 1:
-        return y / (1.0 + pen.mu * y) if k == "burg" else y * math.exp(-pen.mu)
+    if deg == 1 and k == "shannon":
+        return y * math.exp(-pen.mu)
+    if deg == 1:  # Burg: y / (1 + mu*y) over m = max(y, 1), where neither mu*y nor 1/y can overflow
+        m = np.maximum(y, 1.0)
+        return (y / m) / (1.0 / m + pen.mu * (y / m))
     target = _DPHI[k](div.sigma2, y)[0]
     if deg == 2:
         # mu*d^2 - phi'(y)*d + phi(d) is a prox of g*phi at g*phi'(y), g = 1/(2 mu)

@@ -98,6 +98,13 @@ def test_prox_cauchy_coefficient_overflow_exit3(tmp_path, capsys, kernel):
     # projection (lam/(mu*gamma) on the unit l1 ball) gave 5.55e291 and NaN
     ("penalty=spectral mu=1e308", "1", 1.0),
     ("penalty=spectral mu=1e308", "2", 0.5),
+    # 1 + 2*gamma*mu overflowed: a ValueError traceback for Shannon, a prox of 0
+    # (objective=inf) for Burg.  Burg's prox is 1/sqrt(2 mu), so the objective is
+    # log(2 mu) + 1 + 1/gamma; Shannon's is about 3.5e-306, so it is 1/gamma
+    ("divergence=shannon penalty=frosq mu=1e308", "1", 1.0),
+    ("divergence=shannon penalty=frosq mu=1e308", "2", 0.5),
+    ("divergence=burg penalty=frosq mu=1e308", "1", math.log(2.0) + 308.0 * math.log(10.0) + 2.0),
+    ("divergence=burg penalty=schatten p=2 mu=1e308", "2", math.log(2.0) + 308.0 * math.log(10.0) + 1.5),
 ])
 def test_prox_at_extreme_weight(tmp_path, capsys, kernel, gamma, objective):
     m = tmp_path / "m.csv"
@@ -243,6 +250,9 @@ def test_negative_anderson_exit2(tmp_path, capsys):
     ("gen", "nsamples", "0"), ("solve-cov", "nsamples", "0"), ("solve-glasso", "nsamples", "0"),
     ("bench", "nsamples", "0"), ("bench", "reps", "0"),
     ("gen --scenario glasso", "p", "2"), ("solve-glasso", "p", "2"), ("bench", "p", "2"),
+    # list keys: a token that is not of the key's kind, no token at all, an unknown method
+    ("gen", "sigma", "abc"), ("gen", "sigma", ","), ("gen", "blocks", "3,x"), ("gen", "blocks", "2.0,3"),
+    ("gen", "blocks", ""), ("bench", "method", ""), ("bench", "method", "MM"),
 ])
 def test_bad_weight_or_outer_setting_exit2(tmp_path, capsys, cmd, key, value):
     # a negative or non-finite weight, tolerance, seed, noise level or support
@@ -395,6 +405,28 @@ def test_bench_deterministic_bytes(tmp_path):
     assert run(args + ["--out", str(out2)]) == 0
     assert (out1 / "results.csv").read_bytes() == (out2 / "results.csv").read_bytes()
     assert (out1 / "aggregate.csv").read_bytes() == (out2 / "aggregate.csv").read_bytes()
+
+
+def test_bench_reads_a_repeated_method_once(tmp_path):
+    out = tmp_path / "b"
+    rc = run(["bench", "--n", "10", "--p", "0.05", "--nsamples", "60", "--sigma", "0.2", "--reps", "1",
+              "--method", "mm,,mm", "--max-iter", "400", "--seed", "2", "--out", str(out)])
+    assert rc == 0
+    rows = (out / "results.csv").read_text().strip().splitlines()
+    assert len(rows) == 2 and rows[1].startswith("mm,")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["gen", "--sigma", "abc"], "key 'sigma' expects comma-separated numbers, got 'abc'"),
+    (["gen", "--blocks", "3,x"], "key 'blocks' expects comma-separated integers, got '3,x'"),
+    (["bench", "--method", " , "], "key 'method' expects comma-separated names, got ' , '"),
+])
+def test_list_key_expects_comma_separated_values_of_its_kind(tmp_path, capsys, argv, message):
+    # sigma, blocks and method have one reader and one message, the list form of a scalar key's
+    rc = run([*argv, "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert f"configuration error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_bench_unknown_method_exit2(tmp_path, capsys):

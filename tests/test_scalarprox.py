@@ -690,6 +690,34 @@ def test_root_solved_kernel_rows_extreme_grid():
                 assert bad.size == 0, (k, g, lam[bad], d[bad])
 
 
+@pytest.mark.parametrize("g", [1e-4, 1.0, 2.0])
+@pytest.mark.parametrize("pen", [Penalty.fro_squared(1e308), Penalty.schatten(1e308, 2.0)], ids=["frosq", "schatten2"])
+@pytest.mark.parametrize("div", [HS, BURG, SHANNON], ids=lambda d: d.kind)
+def test_quadratic_rows_at_extreme_weight(div, pen, g):
+    # 1 + 2*g*mu overflowed at mu = 1e308: a math domain error for Shannon and
+    # a prox of 0, outside its domain, for Burg, whose prox at lam = 1 is 1/sqrt(2 mu)
+    lam = np.array([-1.0, 0.0, 1.0, 1e300])
+    d = kernel_prox_vec(ScalarKernel(div, pen), g, lam)
+    assert np.all(np.isfinite(d))
+    if div.kind == "burg":
+        assert np.all(d > 0.0) and d[2] == pytest.approx(1e-154 / math.sqrt(2.0), rel=1e-15, abs=0.0)
+    if div.kind == "shannon":
+        assert np.all(d >= 0.0) and d[2] > 0.0
+
+    def h(x):  # mu*(2x): psi_slope's 2*mu overflows
+        return (x - lam) / g + phi_slope(div.kind, 0.0, x) + pen.mu * (2.0 * x)
+
+    assert _root_within(h, d).size == 0, d
+
+
+@pytest.mark.parametrize("div", [HS, BURG], ids=lambda d: d.kind)
+def test_quadratic_rows_rescale_without_forming_lam_over_gamma(div):
+    # lam/(1 + 2*g*mu) is 5 and so is the prox (the divergence term moves it by
+    # about 1e-309), but lam/g overflows; Shannon's own closed form forms lam/g
+    k = ScalarKernel(div, Penalty.fro_squared(1e308))
+    assert kernel_prox_vec(k, 1e-4, np.array([1e305]))[0] == pytest.approx(5.0, rel=1e-15)
+
+
 def _bregman_value(div_kind, pen, d, y):
     """psi(d) + D_phi(d, y) for a scalar anchor y > 0; +inf outside the domain."""
     r = d / y

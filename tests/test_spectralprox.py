@@ -264,6 +264,18 @@ def test_bregman_prox_burg_nuclear_matches_golden():
         assert got[i] == pytest.approx(yv / (1.0 + mu * yv), rel=1e-12)
 
 
+@pytest.mark.parametrize("pen", [Penalty.nuclear(1e308), Penalty.schatten(1e308, 1.0)], ids=["nuclear", "schatten1"])
+@pytest.mark.parametrize("y, expect", [
+    # mu*y overflowed in y/(1 + mu*y), which gave 0, outside Burg's domain
+    ([3.0, 0.5], [1e-308, 1e-308]),
+    # 1/y overflows at a subnormal eigenvalue; the prox is y/(1 + 1e-2)
+    ([1e-310, 2.0], [1e-310 / 1.01, 1e-308]),
+], ids=["anchor", "subnormal_anchor"])
+def test_bregman_prox_burg_linear_row_at_extreme_weight(pen, y, expect):
+    out = bregman_prox(BURG, pen, np.diag(y))
+    np.testing.assert_allclose(np.sort(np.diag(out.mat)), expect, rtol=1e-12, atol=0.0)
+
+
 def test_bregman_prox_shannon_nuclear():
     y = np.diag([1.0, 4.0])
     out = bregman_prox(SHANNON, Penalty.nuclear(0.5), y)
