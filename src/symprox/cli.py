@@ -308,7 +308,7 @@ def _cmd_solve_cov(eff):
     n = ds.y_star.n
     s = empirical_cov(ds)
     t = SymMatrix(s.mat - sigma * sigma * np.eye(n), strict=False)
-    g0 = Penalty.nuclear(eff["mu0"]) if eff["mu0"] > 0 else Penalty.none()
+    g0 = Penalty("nuclear", mu=eff["mu0"]) if eff["mu0"] > 0 else Penalty("none")
     spec = ObjectiveSpec(ScalarKernel(Divergence.half_square(), g0, psd=True), t, eff["mu1"])
     c0 = SymMatrix(s.mat + np.eye(n), strict=False)
     rep = dr_solve(spec, _dr_config(eff), c0)

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, InvalidInputError, NumericError, _check_count, _check_real
+from .experiments import clipped_raw_estimator
 from .scalarprox import Divergence, Penalty, ScalarKernel, _phi_sum, kernel_eval_vec
 from .splitting import DRConfig, ObjectiveSpec, SolveReport, _rel_change_within, dr_solve
 from .symlin import EigenDecomp, SymMatrix, _psd_ok, _recompose_raw, as_sym, eig_sym, inner, recompose, spd_inverse
@@ -46,10 +47,9 @@ class NoisyGlassoProblem:
                 f"data matrix must be PSD (smallest eigenvalue {w[0]:.3e})"
             )
         if w[0] < 0:  # decompose only to clip
-            w, v = np.linalg.eigh(s.mat)
-            s = SymMatrix(_recompose_raw(v, np.maximum(w, 0.0)), strict=False)
+            s = clipped_raw_estimator(s, 0.0)
         object.__setattr__(self, "s", s)
-        pen = Penalty.inv_schatten(self.mu0, 1.0) if self.mu0 > 0 else Penalty.none()
+        pen = Penalty("inv_schatten", mu=self.mu0, p=1.0) if self.mu0 > 0 else Penalty("none")
         object.__setattr__(self, "kernel", ScalarKernel(Divergence.noisy_burg(self.sigma2), pen))
 
     @property

@@ -20,7 +20,7 @@ from .errors import BracketingError, ConfigurationError, DomainError, NumericErr
 from .symlin import _psd_ok
 
 _DIV_KINDS = ("half_square", "burg", "shannon", "noisy_burg")
-# The parameters each penalty kind takes; a kind that takes mu needs a finite mu > 0.
+# Each penalty kind's parameters; Penalty rejects a nonzero other one and needs a finite mu > 0.
 _PEN_PARAMS = {
     "none": (),
     "nuclear": ("mu",),
@@ -50,6 +50,7 @@ _SUPPORTED = {
 }
 
 _IND_SLACK = 1e-10  # float-dust slack when evaluating indicator penalties
+_ROOT_TOL = 1e-12  # relative step at which the root solvers stop
 
 
 @dataclass(frozen=True)
@@ -89,7 +90,7 @@ class Divergence:
 
 @dataclass(frozen=True)
 class Penalty:
-    """Per-eigenvalue (or whole-vector) penalty psi with its parameters."""
+    """Per-eigenvalue (or whole-vector) penalty psi, built from its kind's _PEN_PARAMS only."""
 
     kind: str
     mu: float = 0.0
@@ -102,6 +103,9 @@ class Penalty:
         k = self.kind
         if k not in _PEN_PARAMS:
             raise ConfigurationError(f"unknown penalty '{k}'")
+        for key in ("mu", "p", "eps", "alpha", "beta"):
+            if key not in _PEN_PARAMS[k] and getattr(self, key) != 0.0:
+                raise ConfigurationError(f"penalty '{k}' takes no parameter '{key}'")
         if "mu" in _PEN_PARAMS[k]:
             _check_real("mu", self.mu)
         if k == "schatten":
@@ -114,50 +118,6 @@ class Penalty:
             raise ConfigurationError("fro_ball radius must be nonnegative")
         if k == "eig_box" and not self.alpha <= self.beta:
             raise ConfigurationError("eig_box requires alpha <= beta")
-
-    @classmethod
-    def none(cls):
-        return cls("none")
-
-    @classmethod
-    def nuclear(cls, mu):
-        return cls("nuclear", mu=float(mu))
-
-    @classmethod
-    def fro_norm(cls, mu):
-        return cls("fro_norm", mu=float(mu))
-
-    @classmethod
-    def fro_squared(cls, mu):
-        return cls("fro_squared", mu=float(mu))
-
-    @classmethod
-    def schatten(cls, mu, p):
-        return cls("schatten", mu=float(mu), p=float(p))
-
-    @classmethod
-    def inv_schatten(cls, mu, p):
-        return cls("inv_schatten", mu=float(mu), p=float(p))
-
-    @classmethod
-    def fro_ball(cls, alpha):
-        return cls("fro_ball", alpha=float(alpha))
-
-    @classmethod
-    def eig_box(cls, alpha, beta):
-        return cls("eig_box", alpha=float(alpha), beta=float(beta))
-
-    @classmethod
-    def rank(cls, mu):
-        return cls("rank", mu=float(mu))
-
-    @classmethod
-    def cauchy(cls, mu, eps):
-        return cls("cauchy", mu=float(mu), eps=float(eps))
-
-    @classmethod
-    def spectral_norm(cls, mu):
-        return cls("spectral_norm", mu=float(mu))
 
 
 @dataclass(frozen=True)
@@ -190,7 +150,7 @@ class ScalarKernel:
                     f"eig_box upper bound {p.beta} is infeasible on d >= 0 ('{d.kind}')"
                 )
             if p.alpha < 0:
-                object.__setattr__(self, "penalty", Penalty.eig_box(0.0, p.beta))
+                object.__setattr__(self, "penalty", replace(p, alpha=0.0))
         if nonneg:
             object.__setattr__(self, "psd", False)
 
@@ -294,18 +254,19 @@ def project_l1_ball(v, radius):
     u = np.sort(a)[::-1]
     cssv = np.cumsum(u) - radius
     j = np.arange(1, v.size + 1)
-    rho = np.nonzero(u > cssv / j)[0][-1]
+    kept = np.nonzero(u > cssv / j)[0]
+    rho = kept[-1] if kept.size else 0  # none kept: the radius is below the rounding unit of u[0]
     tau = cssv[rho] / (rho + 1.0)
     return np.sign(v) * np.maximum(a - tau, 0.0)
 
 
-def _newton_bisect_vec(hdh, hi, tol=1e-12, max_iter=200):
+def _newton_bisect_vec(hdh, hi, max_iter=200):
     """Vectorized safeguarded Newton-bisection for the root in [0, inf) of an
     elementwise-increasing h, where hdh(x) returns (h(x), h'(x)).
 
     The bracket is [0, hi] (hi > 0), with hi doubled until h(hi) >= 0.
-    Steps stop below tol*max(|x|, tol): relative accuracy, so that roots far
-    below 1 keep their digits, with an absolute floor of tol**2 that a root
+    Steps stop below t*max(|x|, t), t = _ROOT_TOL: relative accuracy, so that
+    roots far below 1 keep their digits, with an absolute floor of t**2 that a root
     underflowing to 0 reaches within max_iter halvings.  An element stops
     moving once it has converged, so its root does not depend on the other
     elements of the call.  A Newton step is accepted anywhere in the closed
@@ -341,7 +302,7 @@ def _newton_bisect_vec(hdh, hi, tol=1e-12, max_iter=200):
         b = np.where(neg, b, x)
         bad = ~np.isfinite(xn) | (xn < a) | (xn > b)
         xn = np.where(bad, 0.5 * (a + b), xn)
-        moved = np.abs(xn - x) > tol * np.maximum(tol, np.abs(xn))
+        moved = np.abs(xn - x) > _ROOT_TOL * np.maximum(_ROOT_TOL, np.abs(xn))
         x = np.where(open_, xn, x)
         open_ &= moved
         if not open_.any():
@@ -352,14 +313,14 @@ def _newton_bisect_vec(hdh, hi, tol=1e-12, max_iter=200):
     )
 
 
-def _newton_up_vec(hdh, x, tol=1e-12, max_iter=200):
+def _newton_up_vec(hdh, x, max_iter=200):
     """Vectorized Newton's method for the root of an elementwise-increasing,
     concave h, started at x with h(x) <= 0, where hdh(x) returns (h(x), h'(x)).
 
     The tangent at x lies above a concave h, so the Newton step from below
     the root lands below it again: the iterates rise monotonically to the
     root, with no bracket and no bisection.  Steps stop as in
-    _newton_bisect_vec (below tol*max(|x|, tol)), and an element stops
+    _newton_bisect_vec (below t*max(|x|, t)), and an element stops
     moving once it has converged, so its root does not depend on the other
     elements of the call.  Raises NumericError when elements are still
     unconverged after max_iter steps or a step leaves the finite floats.
@@ -369,7 +330,7 @@ def _newton_up_vec(hdh, x, tol=1e-12, max_iter=200):
         for _ in range(max_iter):
             hx, dhx = hdh(x)
             xn = x - hx / dhx
-            moved = np.abs(xn - x) > tol * np.maximum(tol, np.abs(xn))
+            moved = np.abs(xn - x) > _ROOT_TOL * np.maximum(_ROOT_TOL, np.abs(xn))
             x = np.where(open_, xn, x)
             open_ &= moved  # a step to inf or nan stops here, and fails below
             if not open_.any():

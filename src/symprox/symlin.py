@@ -34,12 +34,16 @@ class SymMatrix:
             raise InvalidInputError("SymMatrix requires a square 2-d array")
         if not np.all(np.isfinite(m)):
             raise InvalidInputError("SymMatrix entries must be finite")
-        sym = 0.5 * (m + m.T)
-        resid = float(np.linalg.norm(m - sym))
-        if strict and resid > _STRICT_ASYM_TOL * max(1e-300, float(np.linalg.norm(m))):
-            raise InvalidInputError(
-                f"input is not symmetric: asymmetry residual {resid:.3e}"
-            )
+        with np.errstate(over="ignore"):
+            sym = 0.5 * (m + m.T)
+            resid = float(np.linalg.norm(m - sym))
+            size = float(np.linalg.norm(m)) if strict else 0.0
+        if max(resid, size) == np.inf:  # squares overflow (above about 1.3e154): halve first, rescale
+            s = float(np.abs(m).max())
+            sym = 0.5 * m + 0.5 * m.T
+            resid, size = s * float(np.linalg.norm((m - sym) / s)), s * float(np.linalg.norm(m / s))
+        if strict and resid > _STRICT_ASYM_TOL * max(1e-300, size):
+            raise InvalidInputError(f"input is not symmetric: asymmetry residual {resid:.3e}")
         sym.flags.writeable = False
         self.mat = sym
         self.asym_residual = resid
@@ -56,11 +60,11 @@ class SymMatrix:
         return f"SymMatrix(n={self.n})"
 
 
-def as_sym(a, strict=True):
-    """Coerce an array-like into a SymMatrix (pass-through if it is one)."""
+def as_sym(a):
+    """Coerce an array-like into a strict SymMatrix (pass-through if it is one)."""
     if isinstance(a, SymMatrix):
         return a
-    return SymMatrix(a, strict=strict)
+    return SymMatrix(a)
 
 
 @dataclass(frozen=True)
@@ -223,10 +227,10 @@ def write_matrix_csv(a, path):
     write_csv(path, as_sym(a).mat)
 
 
-def read_matrix_csv(path, strict=False):
-    """Read a matrix CSV; the result is symmetrized and the asymmetry
-    residual is recorded on the returned SymMatrix."""
+def read_matrix_csv(path):
+    """Read a matrix CSV; the result is symmetrized (not strict) and the
+    asymmetry residual is recorded on the returned SymMatrix."""
     m = read_csv(path)
     if m.shape[0] != m.shape[1]:
         raise InvalidInputError(f"matrix in {path} is not square")
-    return SymMatrix(m, strict=strict)
+    return SymMatrix(m, strict=False)

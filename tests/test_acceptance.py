@@ -79,39 +79,39 @@ def _kernel_catalog(rng):
     alp = max(al, 0.0)
     s2 = float(rng.uniform(0.0, 0.8))
     return [
-        ScalarKernel(HS, Penalty.none()),
-        ScalarKernel(HS, Penalty.nuclear(mu)),
-        ScalarKernel(HS, Penalty.fro_norm(mu)),
-        ScalarKernel(HS, Penalty.fro_squared(mu)),
-        ScalarKernel(HS, Penalty.schatten(mu, 3)),
-        ScalarKernel(HS, Penalty.schatten(mu, 4)),
-        ScalarKernel(HS, Penalty.schatten(mu, 4.0 / 3.0)),
-        ScalarKernel(HS, Penalty.schatten(mu, 1.5)),
-        ScalarKernel(HS, Penalty.schatten(mu, 2.6)),
-        ScalarKernel(HS, Penalty.inv_schatten(mu, 1.0)),
-        ScalarKernel(HS, Penalty.inv_schatten(mu, 2.3)),
-        ScalarKernel(HS, Penalty.fro_ball(abs(al) + 0.3)),
-        ScalarKernel(HS, Penalty.eig_box(al, be)),
-        ScalarKernel(HS, Penalty.rank(mu)),
-        ScalarKernel(HS, Penalty.cauchy(mu, eps)),
-        ScalarKernel(HS, Penalty.spectral_norm(mu)),
-        ScalarKernel(BURG, Penalty.none()),
-        ScalarKernel(BURG, Penalty.nuclear(mu)),
-        ScalarKernel(BURG, Penalty.fro_squared(mu)),
-        ScalarKernel(BURG, Penalty.schatten(mu, 3)),
-        ScalarKernel(BURG, Penalty.schatten(mu, 1.8)),
-        ScalarKernel(BURG, Penalty.inv_schatten(mu, 1.0)),
-        ScalarKernel(BURG, Penalty.inv_schatten(mu, 0.7)),
-        ScalarKernel(BURG, Penalty.eig_box(alp, alp + be - al)),
-        ScalarKernel(BURG, Penalty.cauchy(mu, eps)),
-        ScalarKernel(SHANNON, Penalty.none()),
-        ScalarKernel(SHANNON, Penalty.nuclear(mu)),
-        ScalarKernel(SHANNON, Penalty.fro_squared(mu)),
-        ScalarKernel(SHANNON, Penalty.schatten(mu, 3)),
-        ScalarKernel(SHANNON, Penalty.eig_box(alp, alp + be - al)),
-        ScalarKernel(SHANNON, Penalty.rank(mu)),
-        ScalarKernel(Divergence.noisy_burg(s2), Penalty.none()),
-        ScalarKernel(Divergence.noisy_burg(s2), Penalty.inv_schatten(mu, 1.0)),
+        ScalarKernel(HS, Penalty("none")),
+        ScalarKernel(HS, Penalty("nuclear", mu=mu)),
+        ScalarKernel(HS, Penalty("fro_norm", mu=mu)),
+        ScalarKernel(HS, Penalty("fro_squared", mu=mu)),
+        ScalarKernel(HS, Penalty("schatten", mu=mu, p=3.0)),
+        ScalarKernel(HS, Penalty("schatten", mu=mu, p=4.0)),
+        ScalarKernel(HS, Penalty("schatten", mu=mu, p=4.0 / 3.0)),
+        ScalarKernel(HS, Penalty("schatten", mu=mu, p=1.5)),
+        ScalarKernel(HS, Penalty("schatten", mu=mu, p=2.6)),
+        ScalarKernel(HS, Penalty("inv_schatten", mu=mu, p=1.0)),
+        ScalarKernel(HS, Penalty("inv_schatten", mu=mu, p=2.3)),
+        ScalarKernel(HS, Penalty("fro_ball", alpha=abs(al) + 0.3)),
+        ScalarKernel(HS, Penalty("eig_box", alpha=al, beta=be)),
+        ScalarKernel(HS, Penalty("rank", mu=mu)),
+        ScalarKernel(HS, Penalty("cauchy", mu=mu, eps=eps)),
+        ScalarKernel(HS, Penalty("spectral_norm", mu=mu)),
+        ScalarKernel(BURG, Penalty("none")),
+        ScalarKernel(BURG, Penalty("nuclear", mu=mu)),
+        ScalarKernel(BURG, Penalty("fro_squared", mu=mu)),
+        ScalarKernel(BURG, Penalty("schatten", mu=mu, p=3.0)),
+        ScalarKernel(BURG, Penalty("schatten", mu=mu, p=1.8)),
+        ScalarKernel(BURG, Penalty("inv_schatten", mu=mu, p=1.0)),
+        ScalarKernel(BURG, Penalty("inv_schatten", mu=mu, p=0.7)),
+        ScalarKernel(BURG, Penalty("eig_box", alpha=alp, beta=alp + be - al)),
+        ScalarKernel(BURG, Penalty("cauchy", mu=mu, eps=eps)),
+        ScalarKernel(SHANNON, Penalty("none")),
+        ScalarKernel(SHANNON, Penalty("nuclear", mu=mu)),
+        ScalarKernel(SHANNON, Penalty("fro_squared", mu=mu)),
+        ScalarKernel(SHANNON, Penalty("schatten", mu=mu, p=3.0)),
+        ScalarKernel(SHANNON, Penalty("eig_box", alpha=alp, beta=alp + be - al)),
+        ScalarKernel(SHANNON, Penalty("rank", mu=mu)),
+        ScalarKernel(Divergence.noisy_burg(s2), Penalty("none")),
+        ScalarKernel(Divergence.noisy_burg(s2), Penalty("inv_schatten", mu=mu, p=1.0)),
     ]
 
 
@@ -164,42 +164,43 @@ def test_kernel_prox_reads_kernel_prox_vec_on_criterion_1_rows():
     # the half-square rank threshold tie, and the Burg-Cauchy row with two
     # local minima whose global one is the larger
     g = 1.0
-    k = ScalarKernel(HS, Penalty.rank(0.5))
+    k = ScalarKernel(HS, Penalty("rank", mu=0.5))
     tie = math.sqrt(2.0 * 0.5 * g / (1.0 + g)) * (1.0 + g)
     assert kernel_prox(k, g, tie) == (0.0, tie / (1.0 + g))
     assert kernel_prox_vec(k, g, np.array([0.3, tie, 2.0]))[1] == 0.0
-    k = ScalarKernel(BURG, Penalty.cauchy(3.0, 0.01))
+    k = ScalarKernel(BURG, Penalty("cauchy", mu=3.0, eps=0.01))
     (d,) = kernel_prox(k, 0.1, 1.6)
     assert d > 1.0 and d == kernel_prox_vec(k, 0.1, np.array([0.2, 1.6, 5.0]))[1]
     assert checked > 3000
 
 
 _FAMILIES_2X2 = [
-    ("hs none", lambda mu, eps: ScalarKernel(HS, Penalty.none())),
-    ("hs nuclear", lambda mu, eps: ScalarKernel(HS, Penalty.nuclear(mu))),
-    ("hs fro_norm", lambda mu, eps: ScalarKernel(HS, Penalty.fro_norm(mu))),
-    ("hs fro_squared", lambda mu, eps: ScalarKernel(HS, Penalty.fro_squared(mu))),
-    ("hs schatten3", lambda mu, eps: ScalarKernel(HS, Penalty.schatten(mu, 3))),
-    ("hs schatten4/3", lambda mu, eps: ScalarKernel(HS, Penalty.schatten(mu, 4.0 / 3.0))),
-    ("hs inv_schatten", lambda mu, eps: ScalarKernel(HS, Penalty.inv_schatten(mu, 1.0))),
-    ("hs fro_ball", lambda mu, eps: ScalarKernel(HS, Penalty.fro_ball(1.2))),
-    ("hs eig_box", lambda mu, eps: ScalarKernel(HS, Penalty.eig_box(-0.5, 1.5))),
-    ("hs rank", lambda mu, eps: ScalarKernel(HS, Penalty.rank(mu))),
-    ("hs cauchy", lambda mu, eps: ScalarKernel(HS, Penalty.cauchy(mu, eps))),
-    ("hs spectral", lambda mu, eps: ScalarKernel(HS, Penalty.spectral_norm(mu))),
-    ("burg nuclear", lambda mu, eps: ScalarKernel(BURG, Penalty.nuclear(mu))),
-    ("burg fro_squared", lambda mu, eps: ScalarKernel(BURG, Penalty.fro_squared(mu))),
-    ("burg schatten3", lambda mu, eps: ScalarKernel(BURG, Penalty.schatten(mu, 3))),
-    ("burg inv_schatten", lambda mu, eps: ScalarKernel(BURG, Penalty.inv_schatten(mu, 1.0))),
-    ("burg eig_box", lambda mu, eps: ScalarKernel(BURG, Penalty.eig_box(0.1, 2.0))),
-    ("burg cauchy", lambda mu, eps: ScalarKernel(BURG, Penalty.cauchy(mu, eps))),
-    ("shannon nuclear", lambda mu, eps: ScalarKernel(SHANNON, Penalty.nuclear(mu))),
-    ("shannon fro_squared", lambda mu, eps: ScalarKernel(SHANNON, Penalty.fro_squared(mu))),
-    ("shannon schatten3", lambda mu, eps: ScalarKernel(SHANNON, Penalty.schatten(mu, 3))),
-    ("shannon eig_box", lambda mu, eps: ScalarKernel(SHANNON, Penalty.eig_box(0.1, 2.0))),
-    ("shannon rank", lambda mu, eps: ScalarKernel(SHANNON, Penalty.rank(mu))),
-    ("noisy none", lambda mu, eps: ScalarKernel(Divergence.noisy_burg(0.3), Penalty.none())),
-    ("noisy inv1", lambda mu, eps: ScalarKernel(Divergence.noisy_burg(0.2), Penalty.inv_schatten(mu, 1.0))),
+    ("hs none", lambda mu, eps: ScalarKernel(HS, Penalty("none"))),
+    ("hs nuclear", lambda mu, eps: ScalarKernel(HS, Penalty("nuclear", mu=mu))),
+    ("hs fro_norm", lambda mu, eps: ScalarKernel(HS, Penalty("fro_norm", mu=mu))),
+    ("hs fro_squared", lambda mu, eps: ScalarKernel(HS, Penalty("fro_squared", mu=mu))),
+    ("hs schatten3", lambda mu, eps: ScalarKernel(HS, Penalty("schatten", mu=mu, p=3.0))),
+    ("hs schatten4/3", lambda mu, eps: ScalarKernel(HS, Penalty("schatten", mu=mu, p=4.0 / 3.0))),
+    ("hs inv_schatten", lambda mu, eps: ScalarKernel(HS, Penalty("inv_schatten", mu=mu, p=1.0))),
+    ("hs fro_ball", lambda mu, eps: ScalarKernel(HS, Penalty("fro_ball", alpha=1.2))),
+    ("hs eig_box", lambda mu, eps: ScalarKernel(HS, Penalty("eig_box", alpha=-0.5, beta=1.5))),
+    ("hs rank", lambda mu, eps: ScalarKernel(HS, Penalty("rank", mu=mu))),
+    ("hs cauchy", lambda mu, eps: ScalarKernel(HS, Penalty("cauchy", mu=mu, eps=eps))),
+    ("hs spectral", lambda mu, eps: ScalarKernel(HS, Penalty("spectral_norm", mu=mu))),
+    ("burg nuclear", lambda mu, eps: ScalarKernel(BURG, Penalty("nuclear", mu=mu))),
+    ("burg fro_squared", lambda mu, eps: ScalarKernel(BURG, Penalty("fro_squared", mu=mu))),
+    ("burg schatten3", lambda mu, eps: ScalarKernel(BURG, Penalty("schatten", mu=mu, p=3.0))),
+    ("burg inv_schatten", lambda mu, eps: ScalarKernel(BURG, Penalty("inv_schatten", mu=mu, p=1.0))),
+    ("burg eig_box", lambda mu, eps: ScalarKernel(BURG, Penalty("eig_box", alpha=0.1, beta=2.0))),
+    ("burg cauchy", lambda mu, eps: ScalarKernel(BURG, Penalty("cauchy", mu=mu, eps=eps))),
+    ("shannon nuclear", lambda mu, eps: ScalarKernel(SHANNON, Penalty("nuclear", mu=mu))),
+    ("shannon fro_squared", lambda mu, eps: ScalarKernel(SHANNON, Penalty("fro_squared", mu=mu))),
+    ("shannon schatten3", lambda mu, eps: ScalarKernel(SHANNON, Penalty("schatten", mu=mu, p=3.0))),
+    ("shannon eig_box", lambda mu, eps: ScalarKernel(SHANNON, Penalty("eig_box", alpha=0.1, beta=2.0))),
+    ("shannon rank", lambda mu, eps: ScalarKernel(SHANNON, Penalty("rank", mu=mu))),
+    ("noisy none", lambda mu, eps: ScalarKernel(Divergence.noisy_burg(0.3), Penalty("none"))),
+    ("noisy inv1",
+     lambda mu, eps: ScalarKernel(Divergence.noisy_burg(0.2), Penalty("inv_schatten", mu=mu, p=1.0))),
 ]
 
 
@@ -338,7 +339,7 @@ def test_criterion_2_spectral_brute_force():
                 # indicator rows: refine inside the box over the eigenvalues and
                 # the rotation (grid and simplex methods stall at the boundary)
                 box = (k.penalty.alpha, k.penalty.beta)
-                unboxed = ScalarKernel(k.divergence, Penalty.none())
+                unboxed = ScalarKernel(k.divergence, Penalty("none"))
 
                 def smooth_obj(x, y, z, obj3=obj3, unboxed=unboxed):
                     return obj3(x, y, z, k=unboxed)
@@ -353,7 +354,7 @@ def test_criterion_2_spectral_brute_force():
             worst = max(worst, gap)
             assert gap <= 1e-6, f"{name}: gap {gap:.3e}"
     # n=3 random-search sanity bound
-    for k in (ScalarKernel(HS, Penalty.nuclear(0.5)), ScalarKernel(BURG, Penalty.nuclear(0.3))):
+    for k in (ScalarKernel(HS, Penalty("nuclear", mu=0.5)), ScalarKernel(BURG, Penalty("nuclear", mu=0.3))):
         cbar = rand_sym(rng, 3) + 2.0 * np.eye(3)
         tmat = rand_sym(rng, 3, scale=0.4)
         out = prox_spectral(
@@ -382,7 +383,7 @@ def test_criterion_3_dr_vs_projected_subgradient():
     s = empirical_cov(ds)
     tmat = s.mat - 0.01 * np.eye(5)
     spec = ObjectiveSpec(
-        ScalarKernel(HS, Penalty.nuclear(0.2), psd=True), SymMatrix(tmat, strict=False), 0.1
+        ScalarKernel(HS, Penalty("nuclear", mu=0.2), psd=True), SymMatrix(tmat, strict=False), 0.1
     )
     rep = dr_solve(
         spec, DRConfig(gamma=1.0, alpha=1.5, eps=1e-13, max_iter=20000),
@@ -411,7 +412,7 @@ def test_criterion_4_scaled_covariance_reproduction():
         ds = sample_gaussian(y_star, sigma, n, 200 + seed)
         s = empirical_cov(ds)
         spec = ObjectiveSpec(
-            ScalarKernel(HS, Penalty.nuclear(0.2), psd=True),
+            ScalarKernel(HS, Penalty("nuclear", mu=0.2), psd=True),
             SymMatrix(s.mat - sigma * sigma * np.eye(n), strict=False),
             0.1,
         )

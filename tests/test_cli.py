@@ -120,6 +120,19 @@ def test_prox_at_extreme_weight(tmp_path, capsys, kernel, gamma, objective):
     assert float(re.search(r"objective=(\S+)", out).group(1)) == pytest.approx(objective, rel=1e-12)
 
 
+@pytest.mark.parametrize("mu, objective", [("1e-20", 2.5), ("1e-15", 2.5000000000000018)])
+def test_prox_spectral_norm_below_rounding(tmp_path, capsys, mu, objective):
+    # at mu*gamma below the rounding unit of the largest eigenvalue 3 the
+    # l1-ball projection kept no index and raised IndexError (exit 1); the
+    # prox is diag(3, 1)/2 up to rounding, at objective 2.5
+    m = tmp_path / "m.csv"
+    write_matrix_csv(np.diag([3.0, 1.0]), m)
+    rc = run(["prox", "--matrix", str(m), "--kernel", f"penalty=spectral mu={mu}", "--out", str(tmp_path / "o")])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert float(re.search(r"objective=(\S+)", out).group(1)) == objective
+
+
 def test_unwritable_out_exit2(tmp_path, capsys):
     # an output directory that cannot be made (here: under a regular file)
     blocker = tmp_path / "file"

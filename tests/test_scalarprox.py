@@ -28,7 +28,7 @@ from symprox import (
     soft,
 )
 from symprox import scalarprox
-from symprox.scalarprox import _newton_bisect_vec, _stationarity, _w_exp
+from symprox.scalarprox import _PEN_PARAMS, _newton_bisect_vec, _stationarity, _w_exp
 
 from _oracles import (
     golden_min,
@@ -130,6 +130,15 @@ def test_project_l1_matches_kkt_oracle():
         assert np.abs(got).sum() <= radius + 1e-12
 
 
+def test_project_l1_radius_below_rounding():
+    # u[0] - radius rounds to u[0], so no index passes the sort-based test (it
+    # raised IndexError); the projection, radius*e_1 up to rounding, rounds to 0
+    radius = 1e-20
+    got = project_l1_ball(np.array([3.0, -1.0]), radius)
+    assert np.abs(got).sum() <= radius
+    assert np.max(np.abs(got - [radius, 0.0])) <= radius
+
+
 def test_project_l1_rejects_bad_radius():
     with pytest.raises(ConfigurationError):
         project_l1_ball(np.ones(3), 0.0)
@@ -139,10 +148,10 @@ def test_project_l1_rejects_bad_radius():
 
 
 def test_kernel_eval_examples():
-    assert kernel_eval(ScalarKernel(BURG, Penalty.none()), 1.0) == 0.0
-    k = ScalarKernel(HS, Penalty.nuclear(2.0))
+    assert kernel_eval(ScalarKernel(BURG, Penalty("none")), 1.0) == 0.0
+    k = ScalarKernel(HS, Penalty("nuclear", mu=2.0))
     assert kernel_eval(k, -3.0) == pytest.approx(10.5, abs=1e-14)
-    kn = ScalarKernel(Divergence.noisy_burg(0.0), Penalty.none())
+    kn = ScalarKernel(Divergence.noisy_burg(0.0), Penalty("none"))
     assert kernel_eval(kn, 2.0) == -math.log(2.0)
 
 
@@ -153,8 +162,8 @@ _PARITY_LAMS = np.concatenate([-np.logspace(12, -8, 1500), [0.0], np.logspace(-8
 
 
 def test_noisy_with_zero_sigma_matches_burg_exactly():
-    kn = ScalarKernel(Divergence.noisy_burg(0.0), Penalty.none())
-    kb = ScalarKernel(BURG, Penalty.none())
+    kn = ScalarKernel(Divergence.noisy_burg(0.0), Penalty("none"))
+    kb = ScalarKernel(BURG, Penalty("none"))
     for lam in (*_PARITY_LAMS, math.inf):
         assert kernel_eval(kn, lam) == kernel_eval(kb, lam)
     pos = _PARITY_LAMS[_PARITY_LAMS > 0]
@@ -166,13 +175,13 @@ def test_noisy_with_zero_sigma_matches_burg_exactly():
 
 
 def test_kernel_eval_outside_domain_is_inf():
-    assert kernel_eval(ScalarKernel(BURG, Penalty.none()), -1.0) == math.inf
+    assert kernel_eval(ScalarKernel(BURG, Penalty("none")), -1.0) == math.inf
     # an infinite eigenvalue is outside the Burg family's domain, without a warning
-    assert kernel_eval(ScalarKernel(BURG, Penalty.none()), math.inf) == math.inf
-    assert kernel_eval(ScalarKernel(Divergence.noisy_burg(0.5), Penalty.none()), math.inf) == math.inf
-    assert kernel_eval(ScalarKernel(SHANNON, Penalty.none()), -0.1) == math.inf
-    assert kernel_eval(ScalarKernel(SHANNON, Penalty.none()), 0.0) == 0.0
-    k = ScalarKernel(HS, Penalty.inv_schatten(1.0, 1.0))
+    assert kernel_eval(ScalarKernel(BURG, Penalty("none")), math.inf) == math.inf
+    assert kernel_eval(ScalarKernel(Divergence.noisy_burg(0.5), Penalty("none")), math.inf) == math.inf
+    assert kernel_eval(ScalarKernel(SHANNON, Penalty("none")), -0.1) == math.inf
+    assert kernel_eval(ScalarKernel(SHANNON, Penalty("none")), 0.0) == 0.0
+    k = ScalarKernel(HS, Penalty("inv_schatten", mu=1.0, p=1.0))
     assert kernel_eval(k, 0.0) == math.inf
 
 
@@ -180,12 +189,12 @@ def test_kernel_eval_outside_domain_is_inf():
 
 
 def test_prox_burg_unpenalized_at_zero():
-    (d,) = kernel_prox(ScalarKernel(BURG, Penalty.none()), 1.0, 0.0)
+    (d,) = kernel_prox(ScalarKernel(BURG, Penalty("none")), 1.0, 0.0)
     assert d == pytest.approx(1.0, abs=1e-14)
 
 
 def test_prox_hs_nuclear_example():
-    k = ScalarKernel(HS, Penalty.nuclear(0.5))
+    k = ScalarKernel(HS, Penalty("nuclear", mu=0.5))
     (d,) = kernel_prox(k, 0.7, 1.3)
     expect = soft(0.35 / 1.7, 1.3 / 1.7)
     assert d == pytest.approx(expect, abs=1e-15)
@@ -196,7 +205,7 @@ def test_prox_hs_nuclear_example():
 
 
 def test_prox_noisy_reduces_to_burg():
-    k = ScalarKernel(Divergence.noisy_burg(0.0), Penalty.none())
+    k = ScalarKernel(Divergence.noisy_burg(0.0), Penalty("none"))
     for lam, g in ((0.0, 1.0), (2.0, 0.5), (-1.5, 2.0)):
         (d,) = kernel_prox(k, g, lam)
         assert d == pytest.approx(0.5 * (lam + math.sqrt(lam * lam + 4 * g)), rel=1e-14)
@@ -205,8 +214,8 @@ def test_prox_noisy_reduces_to_burg():
 def test_prox_noisy_sigma_zero_matches_burg_inv_schatten():
     # with sigma2 = 0 and mu0 > 0 both kernels solve the same cubic with the same arithmetic
     for mu in _PARITY_MUS:
-        kn = ScalarKernel(Divergence.noisy_burg(0.0), Penalty.inv_schatten(mu, 1.0))
-        kb = ScalarKernel(BURG, Penalty.inv_schatten(mu, 1.0))
+        kn = ScalarKernel(Divergence.noisy_burg(0.0), Penalty("inv_schatten", mu=mu, p=1.0))
+        kb = ScalarKernel(BURG, Penalty("inv_schatten", mu=mu, p=1.0))
         for g in _PARITY_GAMMAS:
             np.testing.assert_array_equal(
                 kernel_prox_vec(kn, g, _PARITY_LAMS), kernel_prox_vec(kb, g, _PARITY_LAMS)
@@ -295,7 +304,7 @@ def test_root_evaluations_on_the_mm_inner_row(monkeypatch):
     # Burg plus inverse Schatten p = 1, runs the monotone Newton from the
     # shifted Burg root: no bracketed solve, at most 6 evaluations per call
     evals, calls, bracketed = _route(monkeypatch)
-    k = ScalarKernel(Divergence.noisy_burg(0.04), Penalty.inv_schatten(0.005, 1.0))
+    k = ScalarKernel(Divergence.noisy_burg(0.04), Penalty("inv_schatten", mu=0.005, p=1.0))
     lam = np.random.default_rng(0).uniform(-1.0, 3.0, 100)
     kernel_prox_vec(k, 1.0, lam)
     assert not bracketed
@@ -310,12 +319,14 @@ def test_root_evaluations_on_the_moved_rows(monkeypatch):
     rng = np.random.default_rng(0)
     evals, calls, bracketed = _route(monkeypatch)
     q, _ = np.linalg.qr(rng.standard_normal((30, 30)))
-    bregman_prox(BURG, Penalty.inv_schatten(0.2, 1.0), (q * rng.uniform(0.2, 3.0, 30)) @ q.T)
+    bregman_prox(BURG, Penalty("inv_schatten", mu=0.2, p=1.0), (q * rng.uniform(0.2, 3.0, 30)) @ q.T)
     assert not bracketed
     assert calls and len(evals) / len(calls) <= 7
     evals.clear()
     calls.clear()
-    kernel_prox_vec(ScalarKernel(Divergence.noisy_burg(0.04), Penalty.none()), 1.0, rng.uniform(-2.5, 2.5, 30))
+    kernel_prox_vec(
+        ScalarKernel(Divergence.noisy_burg(0.04), Penalty("none")), 1.0, rng.uniform(-2.5, 2.5, 30)
+    )
     assert not bracketed
     assert calls and len(evals) / len(calls) <= 4
 
@@ -346,13 +357,14 @@ def test_monotone_newton_rows_match_the_bracketed_solver(monkeypatch, s2):
     div = Divergence.noisy_burg(s2) if s2 else BURG
     lam = _MONOTONE_LAMS
     rows = []  # (penalty, lin, target, hi)
-    pens = [Penalty.inv_schatten(mu, p) for p in (0.5, 1.0, 2.0) for mu in (1e-3, 1.0)]
-    pens += [Penalty.none()] if s2 else []
+    pens = [Penalty("inv_schatten", mu=mu, p=p) for p in (0.5, 1.0, 2.0) for mu in (1e-3, 1.0)]
+    pens += [Penalty("none")] if s2 else []
     for g in (0.05, 1.0, 7.0):
         rows += [(pen, 1.0 / g, lam / g, np.maximum(lam, 0.0) + 1.0) for pen in pens]
     if not s2:
         y = _MONOTONE_ANCHORS
-        pens = [Penalty.inv_schatten(mu, p) for p in (0.5, 0.7, 1.0, 2.0, 2.2) for mu in (1e-8, 1e-3, 1.0, 1e4)]
+        pens = [Penalty("inv_schatten", mu=mu, p=p)
+                for p in (0.5, 0.7, 1.0, 2.0, 2.2) for mu in (1e-8, 1e-3, 1.0, 1e4)]
         rows += [(pen, 0.0, -1.0 / y, y) for pen in pens]
     iterates = []
     up = scalarprox._newton_up_vec
@@ -375,7 +387,7 @@ def test_monotone_newton_rows_match_the_bracketed_solver(monkeypatch, s2):
 
 def test_schatten3_implicit_matches_closed_form():
     mu, g = 0.5, 0.8
-    k = ScalarKernel(HS, Penalty.schatten(mu, 3))
+    k = ScalarKernel(HS, Penalty("schatten", mu=mu, p=3.0))
     for lam in (-2.5, -0.3, 0.0, 0.7, 3.1):
         (closed,) = kernel_prox(k, g, lam)
         al = abs(lam)
@@ -392,7 +404,7 @@ def test_schatten3_implicit_matches_closed_form():
 def prox_noisy_burg_quartic(gamma, mu0, sigma2, lam):
     """The noisy-Burg row with penalty mu0/d (none when mu0 = 0) at one
     eigenvalue, through kernel_prox_vec."""
-    pen = Penalty.inv_schatten(mu0, 1.0) if mu0 > 0 else Penalty.none()
+    pen = Penalty("inv_schatten", mu=mu0, p=1.0) if mu0 > 0 else Penalty("none")
     k = ScalarKernel(Divergence.noisy_burg(sigma2), pen)
     return float(kernel_prox_vec(k, gamma, [lam])[0])
 
@@ -408,7 +420,7 @@ def test_quartic_trivial_reductions():
 def test_quartic_against_grid_oracle():
     g, mu0, s2, lam = 1.0, 0.1, 0.04, 2.0
     d = prox_noisy_burg_quartic(g, mu0, s2, lam)
-    pen = Penalty.inv_schatten(mu0, 1.0)
+    pen = Penalty("inv_schatten", mu=mu0, p=1.0)
     ref = scalar_prox_oracle("noisy_burg", s2, pen, g, lam)
     val = float(
         0.5 * (d - lam) ** 2
@@ -437,7 +449,7 @@ def test_quartic_derivation_sweep():
         )
         scale = max(1.0, abs(lam) ** 3, g)
         assert abs(poly) <= 1e-8 * scale
-        pen = Penalty.inv_schatten(mu0, 1.0) if mu0 > 0 else Penalty.none()
+        pen = Penalty("inv_schatten", mu=mu0, p=1.0) if mu0 > 0 else Penalty("none")
         ref = scalar_prox_oracle("noisy_burg", s2, pen, g, lam)
         val = float(
             0.5 * (d - lam) ** 2
@@ -460,36 +472,36 @@ def _catalog(rng):
     be = al + float(rng.uniform(0.2, 2.0))
     s2 = float(rng.uniform(0.0, 0.8))
     kernels = [
-        ScalarKernel(HS, Penalty.none()),
-        ScalarKernel(HS, Penalty.nuclear(mu)),
-        ScalarKernel(HS, Penalty.fro_squared(mu)),
-        ScalarKernel(HS, Penalty.schatten(mu, 3)),
-        ScalarKernel(HS, Penalty.schatten(mu, 4)),
-        ScalarKernel(HS, Penalty.schatten(mu, 4.0 / 3.0)),
-        ScalarKernel(HS, Penalty.schatten(mu, 1.5)),
-        ScalarKernel(HS, Penalty.schatten(mu, 2.7)),
-        ScalarKernel(HS, Penalty.inv_schatten(mu, 1.0)),
-        ScalarKernel(HS, Penalty.inv_schatten(mu, 2.2)),
-        ScalarKernel(HS, Penalty.eig_box(al, be)),
-        ScalarKernel(HS, Penalty.rank(mu)),
-        ScalarKernel(HS, Penalty.cauchy(mu, eps)),
-        ScalarKernel(BURG, Penalty.none()),
-        ScalarKernel(BURG, Penalty.nuclear(mu)),
-        ScalarKernel(BURG, Penalty.fro_squared(mu)),
-        ScalarKernel(BURG, Penalty.schatten(mu, 3)),
-        ScalarKernel(BURG, Penalty.schatten(mu, 1.8)),
-        ScalarKernel(BURG, Penalty.inv_schatten(mu, 1.0)),
-        ScalarKernel(BURG, Penalty.inv_schatten(mu, 0.7)),
-        ScalarKernel(BURG, Penalty.eig_box(max(al, 0.0), max(al, 0.0) + be - al)),
-        ScalarKernel(BURG, Penalty.cauchy(mu, eps)),
-        ScalarKernel(SHANNON, Penalty.none()),
-        ScalarKernel(SHANNON, Penalty.nuclear(mu)),
-        ScalarKernel(SHANNON, Penalty.fro_squared(mu)),
-        ScalarKernel(SHANNON, Penalty.schatten(mu, 3)),
-        ScalarKernel(SHANNON, Penalty.eig_box(max(al, 0.0), max(al, 0.0) + be - al)),
-        ScalarKernel(SHANNON, Penalty.rank(mu)),
-        ScalarKernel(Divergence.noisy_burg(s2), Penalty.none()),
-        ScalarKernel(Divergence.noisy_burg(s2), Penalty.inv_schatten(mu, 1.0)),
+        ScalarKernel(HS, Penalty("none")),
+        ScalarKernel(HS, Penalty("nuclear", mu=mu)),
+        ScalarKernel(HS, Penalty("fro_squared", mu=mu)),
+        ScalarKernel(HS, Penalty("schatten", mu=mu, p=3.0)),
+        ScalarKernel(HS, Penalty("schatten", mu=mu, p=4.0)),
+        ScalarKernel(HS, Penalty("schatten", mu=mu, p=4.0 / 3.0)),
+        ScalarKernel(HS, Penalty("schatten", mu=mu, p=1.5)),
+        ScalarKernel(HS, Penalty("schatten", mu=mu, p=2.7)),
+        ScalarKernel(HS, Penalty("inv_schatten", mu=mu, p=1.0)),
+        ScalarKernel(HS, Penalty("inv_schatten", mu=mu, p=2.2)),
+        ScalarKernel(HS, Penalty("eig_box", alpha=al, beta=be)),
+        ScalarKernel(HS, Penalty("rank", mu=mu)),
+        ScalarKernel(HS, Penalty("cauchy", mu=mu, eps=eps)),
+        ScalarKernel(BURG, Penalty("none")),
+        ScalarKernel(BURG, Penalty("nuclear", mu=mu)),
+        ScalarKernel(BURG, Penalty("fro_squared", mu=mu)),
+        ScalarKernel(BURG, Penalty("schatten", mu=mu, p=3.0)),
+        ScalarKernel(BURG, Penalty("schatten", mu=mu, p=1.8)),
+        ScalarKernel(BURG, Penalty("inv_schatten", mu=mu, p=1.0)),
+        ScalarKernel(BURG, Penalty("inv_schatten", mu=mu, p=0.7)),
+        ScalarKernel(BURG, Penalty("eig_box", alpha=max(al, 0.0), beta=max(al, 0.0) + be - al)),
+        ScalarKernel(BURG, Penalty("cauchy", mu=mu, eps=eps)),
+        ScalarKernel(SHANNON, Penalty("none")),
+        ScalarKernel(SHANNON, Penalty("nuclear", mu=mu)),
+        ScalarKernel(SHANNON, Penalty("fro_squared", mu=mu)),
+        ScalarKernel(SHANNON, Penalty("schatten", mu=mu, p=3.0)),
+        ScalarKernel(SHANNON, Penalty("eig_box", alpha=max(al, 0.0), beta=max(al, 0.0) + be - al)),
+        ScalarKernel(SHANNON, Penalty("rank", mu=mu)),
+        ScalarKernel(Divergence.noisy_burg(s2), Penalty("none")),
+        ScalarKernel(Divergence.noisy_burg(s2), Penalty("inv_schatten", mu=mu, p=1.0)),
     ]
     return kernels
 
@@ -508,13 +520,13 @@ def test_prox_oracle_equivalence_sample():
 def test_firm_nonexpansive_and_monotone_convex_kernels():
     rng = np.random.default_rng(23)
     convex = [
-        ScalarKernel(HS, Penalty.nuclear(0.6)),
-        ScalarKernel(HS, Penalty.schatten(0.4, 3)),
-        ScalarKernel(HS, Penalty.eig_box(-0.4, 1.1)),
-        ScalarKernel(BURG, Penalty.nuclear(0.5)),
-        ScalarKernel(BURG, Penalty.inv_schatten(0.3, 1.0)),
-        ScalarKernel(SHANNON, Penalty.nuclear(0.5)),
-        ScalarKernel(Divergence.noisy_burg(0.3), Penalty.inv_schatten(0.2, 1.0)),
+        ScalarKernel(HS, Penalty("nuclear", mu=0.6)),
+        ScalarKernel(HS, Penalty("schatten", mu=0.4, p=3.0)),
+        ScalarKernel(HS, Penalty("eig_box", alpha=-0.4, beta=1.1)),
+        ScalarKernel(BURG, Penalty("nuclear", mu=0.5)),
+        ScalarKernel(BURG, Penalty("inv_schatten", mu=0.3, p=1.0)),
+        ScalarKernel(SHANNON, Penalty("nuclear", mu=0.5)),
+        ScalarKernel(Divergence.noisy_burg(0.3), Penalty("inv_schatten", mu=0.2, p=1.0)),
     ]
     for k in convex:
         for _ in range(40):
@@ -532,8 +544,8 @@ def test_schatten_1_and_2_are_the_nuclear_and_fro_squared_rows():
     lam = np.concatenate([np.linspace(-5.0, 5.0, 41), [-1e8, -1e-8, 1e-8, 1e8]])
     y = np.diag(np.logspace(-6, 6, 13))
     for mu in (0.05, 1.0, 30.0):
-        for p, same in ((1.0, Penalty.nuclear(mu)), (2.0, Penalty.fro_squared(mu))):
-            sch = Penalty.schatten(mu, p)
+        for p, same in ((1.0, Penalty("nuclear", mu=mu)), (2.0, Penalty("fro_squared", mu=mu))):
+            sch = Penalty("schatten", mu=mu, p=p)
             for div in (HS, BURG, SHANNON):
                 for g in (0.1, 1.0, 7.0):
                     a = kernel_prox_vec(ScalarKernel(div, sch), g, lam)
@@ -544,36 +556,40 @@ def test_schatten_1_and_2_are_the_nuclear_and_fro_squared_rows():
 
 
 def _no_penalty(mu):
-    return Penalty.none()
+    return Penalty("none")
+
+
+def _weighted(kind, key="mu"):
+    return lambda mu: Penalty(kind, **{key: mu})
 
 
 def _schatten(p):
-    return lambda mu: Penalty.schatten(mu, p)
+    return lambda mu: Penalty("schatten", mu=mu, p=p)
 
 
 def _inv_schatten(p):
-    return lambda mu: Penalty.inv_schatten(mu, p)
+    return lambda mu: Penalty("inv_schatten", mu=mu, p=p)
 
 
 def _box(lo, hi):
-    return lambda mu: Penalty.eig_box(lo * mu, hi * mu)
+    return lambda mu: Penalty("eig_box", alpha=lo * mu, beta=hi * mu)
 
 
 # every convex kernel row (all but rank and Cauchy), as a penalty of the weight mu
 _CONVEX_ROWS = {
     f"{div.kind}-{name}": (div, pen)
     for div, rows in (
-        (HS, {"none": _no_penalty, "nuclear": Penalty.nuclear, "fro_norm": Penalty.fro_norm,
-              "fro_squared": Penalty.fro_squared, "fro_ball": Penalty.fro_ball,
-              "eig_box": _box(-1.0, 2.0), "spectral_norm": Penalty.spectral_norm,
+        (HS, {"none": _no_penalty, "nuclear": _weighted("nuclear"), "fro_norm": _weighted("fro_norm"),
+              "fro_squared": _weighted("fro_squared"), "fro_ball": _weighted("fro_ball", "alpha"),
+              "eig_box": _box(-1.0, 2.0), "spectral_norm": _weighted("spectral_norm"),
               **{f"schatten{p:.3g}": _schatten(p) for p in (1.0, 4.0 / 3.0, 1.5, 2.0, 2.7, 3.0, 4.0)},
               **{f"inv_schatten{p:.3g}": _inv_schatten(p) for p in (1.0, 2.2)}}),
-        (BURG, {"none": _no_penalty, "nuclear": Penalty.nuclear,
-                "fro_squared": Penalty.fro_squared, "eig_box": _box(0.5, 2.0),
+        (BURG, {"none": _no_penalty, "nuclear": _weighted("nuclear"),
+                "fro_squared": _weighted("fro_squared"), "eig_box": _box(0.5, 2.0),
                 **{f"schatten{p:.3g}": _schatten(p) for p in (1.0, 1.8, 2.0, 3.0)},
                 **{f"inv_schatten{p:.3g}": _inv_schatten(p) for p in (0.7, 1.0)}}),
-        (SHANNON, {"none": _no_penalty, "nuclear": Penalty.nuclear,
-                   "fro_squared": Penalty.fro_squared, "eig_box": _box(0.5, 2.0),
+        (SHANNON, {"none": _no_penalty, "nuclear": _weighted("nuclear"),
+                   "fro_squared": _weighted("fro_squared"), "eig_box": _box(0.5, 2.0),
                    **{f"schatten{p:.3g}": _schatten(p) for p in (1.0, 1.3, 2.0, 3.0)}}),
         (Divergence.noisy_burg(0.3), {"none": _no_penalty, "inv_schatten1": _inv_schatten(1.0)}),
     )
@@ -611,12 +627,12 @@ def test_domain_respect():
         lam = float(rng.uniform(-5.0, 5.0))
         g = float(rng.uniform(0.1, 2.0))
         for k in (
-            ScalarKernel(BURG, Penalty.nuclear(0.4)),
-            ScalarKernel(Divergence.noisy_burg(0.2), Penalty.none()),
+            ScalarKernel(BURG, Penalty("nuclear", mu=0.4)),
+            ScalarKernel(Divergence.noisy_burg(0.2), Penalty("none")),
         ):
             (d,) = kernel_prox(k, g, lam)
             assert d > 0
-        for d in kernel_prox(ScalarKernel(SHANNON, Penalty.rank(0.4)), g, lam):
+        for d in kernel_prox(ScalarKernel(SHANNON, Penalty("rank", mu=0.4)), g, lam):
             assert d >= 0
 
 
@@ -665,13 +681,14 @@ def test_root_solved_kernel_rows_extreme_grid():
     lam = _EXTREME_LAMS
     for g in _EXTREME_SCALES:
         for mu in _EXTREME_SCALES:
-            pens = [Penalty.none(), Penalty.nuclear(mu), Penalty.fro_squared(mu)]
-            pens += [Penalty.schatten(mu, p) for p in (1.0, 1.3, 4.0 / 3.0, 1.5, 2.0, 2.7, 3.0, 4.0)]
+            pens = [Penalty("none"), Penalty("nuclear", mu=mu), Penalty("fro_squared", mu=mu)]
+            pens += [Penalty("schatten", mu=mu, p=p)
+                     for p in (1.0, 1.3, 4.0 / 3.0, 1.5, 2.0, 2.7, 3.0, 4.0)]
             rows = [ScalarKernel(div, pen) for div in (HS, BURG, SHANNON) for pen in pens]
-            rows += [ScalarKernel(div, Penalty.inv_schatten(mu, p))
+            rows += [ScalarKernel(div, Penalty("inv_schatten", mu=mu, p=p))
                      for div in (HS, BURG) for p in (0.7, 2.2)]
-            rows += [ScalarKernel(Divergence.noisy_burg(s2), pen)
-                     for s2 in (0.0, 0.3) for pen in (Penalty.none(), Penalty.inv_schatten(mu, 1.0))]
+            rows += [ScalarKernel(Divergence.noisy_burg(s2), pen) for s2 in (0.0, 0.3)
+                     for pen in (Penalty("none"), Penalty("inv_schatten", mu=mu, p=1.0))]
             for k in rows:
                 d = kernel_prox_vec(k, g, lam)
                 assert np.all(np.isfinite(d)), (k, g)
@@ -691,7 +708,9 @@ def test_root_solved_kernel_rows_extreme_grid():
 
 
 @pytest.mark.parametrize("g", [1e-4, 1.0, 2.0])
-@pytest.mark.parametrize("pen", [Penalty.fro_squared(1e308), Penalty.schatten(1e308, 2.0)], ids=["frosq", "schatten2"])
+@pytest.mark.parametrize(
+    "pen", [Penalty("fro_squared", mu=1e308), Penalty("schatten", mu=1e308, p=2.0)], ids=["frosq", "schatten2"]
+)
 @pytest.mark.parametrize("div", [HS, BURG, SHANNON], ids=lambda d: d.kind)
 def test_quadratic_rows_at_extreme_weight(div, pen, g):
     # 1 + 2*g*mu overflowed at mu = 1e308: a math domain error for Shannon and
@@ -714,7 +733,7 @@ def test_quadratic_rows_at_extreme_weight(div, pen, g):
 def test_quadratic_rows_rescale_without_forming_lam_over_gamma(div):
     # lam/(1 + 2*g*mu) is 5 and so is the prox (the divergence term moves it by
     # about 1e-309), but lam/g overflows; Shannon's own closed form forms lam/g
-    k = ScalarKernel(div, Penalty.fro_squared(1e308))
+    k = ScalarKernel(div, Penalty("fro_squared", mu=1e308))
     assert kernel_prox_vec(k, 1e-4, np.array([1e305]))[0] == pytest.approx(5.0, rel=1e-15)
 
 
@@ -735,10 +754,10 @@ def test_root_solved_bregman_rows_extreme_grid():
     # its neighbours and has a root of phi'(d) + psi'(d) - phi'(y) within t
     ys = np.logspace(-8, 8, 17)
     for mu in _EXTREME_SCALES:
-        pens = [Penalty.nuclear(mu), Penalty.fro_squared(mu)]
-        pens += [Penalty.schatten(mu, p) for p in (1.0, 1.3, 2.0, 2.7)]
+        pens = [Penalty("nuclear", mu=mu), Penalty("fro_squared", mu=mu)]
+        pens += [Penalty("schatten", mu=mu, p=p) for p in (1.0, 1.3, 2.0, 2.7)]
         rows = [(div, pen) for div in (BURG, SHANNON) for pen in pens]
-        rows += [(BURG, Penalty.inv_schatten(mu, p)) for p in (0.7, 2.2)]
+        rows += [(BURG, Penalty("inv_schatten", mu=mu, p=p)) for p in (0.7, 2.2)]
         for div, pen in rows:
             d = np.array([bregman_prox(div, pen, np.array([[y]])).mat[0, 0] for y in ys])
             assert np.all(np.isfinite(d)), (div, pen)
@@ -761,11 +780,11 @@ def test_burg_closed_forms_at_huge_eigenvalues():
     for g in (1e-4, 1.0, 1e4):
         q = 1.0 + 2.0 * g * mu
         rows = [
-            (ScalarKernel(BURG, Penalty.none()), lam, g),
-            (ScalarKernel(BURG, Penalty.nuclear(mu)), lam - g * mu, g),
-            (ScalarKernel(BURG, Penalty.fro_squared(mu)), lam / q, g / q),
-            (ScalarKernel(BURG, Penalty.eig_box(-math.inf, math.inf)), lam, g),
-            (ScalarKernel(Divergence.noisy_burg(0.0), Penalty.none()), lam, g),
+            (ScalarKernel(BURG, Penalty("none")), lam, g),
+            (ScalarKernel(BURG, Penalty("nuclear", mu=mu)), lam - g * mu, g),
+            (ScalarKernel(BURG, Penalty("fro_squared", mu=mu)), lam / q, g / q),
+            (ScalarKernel(BURG, Penalty("eig_box", alpha=-math.inf, beta=math.inf)), lam, g),
+            (ScalarKernel(Divergence.noisy_burg(0.0), Penalty("none")), lam, g),
         ]
         for k, b, c in rows:
             d = kernel_prox_vec(k, g, lam)
@@ -778,7 +797,7 @@ def test_burg_closed_forms_at_huge_eigenvalues():
 
 
 def test_rank_prox_candidates():
-    k = ScalarKernel(HS, Penalty.rank(0.5))
+    k = ScalarKernel(HS, Penalty("rank", mu=0.5))
     g = 1.0
     tau = math.sqrt(2 * 0.5 * g / (1 + g))
     lam_boundary = tau * (1 + g)
@@ -789,7 +808,7 @@ def test_rank_prox_candidates():
 
 
 def test_cauchy_prox_candidates_minimize():
-    k = ScalarKernel(HS, Penalty.cauchy(0.8, 0.05))
+    k = ScalarKernel(HS, Penalty("cauchy", mu=0.8, eps=0.05))
     for lam in (-2.0, 0.0, 0.4, 2.0):
         cands = kernel_prox(k, 1.2, lam)
         ref = scalar_prox_oracle("half_square", 0.0, k.penalty, 1.2, lam)
@@ -798,7 +817,7 @@ def test_cauchy_prox_candidates_minimize():
 
 
 def test_burg_cauchy_picks_the_global_of_two_local_minima():
-    k = ScalarKernel(BURG, Penalty.cauchy(3.0, 0.01))
+    k = ScalarKernel(BURG, Penalty("cauchy", mu=3.0, eps=0.01))
     g, lam = 0.1, 1.6
 
     def obj(t):
@@ -836,7 +855,7 @@ def test_cauchy_rows_match_per_element_np_roots(div):
     rng = np.random.default_rng(43)
     lam = np.concatenate([rng.uniform(-2.5, 2.5, 60), [0.0, 1.6, 1e4, -1e4]])
     for mu, eps, g in ((0.3, 0.5, 1.0), (3.0, 0.01, 0.1), (0.8, 0.05, 1.2)):
-        k = ScalarKernel(div, Penalty.cauchy(mu, eps))
+        k = ScalarKernel(div, Penalty("cauchy", mu=mu, eps=eps))
         ref = np.array([_cauchy_by_np_roots(k, g, x) for x in lam.tolist()])
         got = kernel_prox_vec(k, g, lam)
         assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref))), (mu, eps, g)
@@ -862,7 +881,7 @@ def _burg_cauchy_small_root(g, lam, mu, eps):
 
 def test_burg_cauchy_small_root_at_large_negative_lambda():
     mu, eps = 0.346, 0.215
-    k = ScalarKernel(BURG, Penalty.cauchy(mu, eps))
+    k = ScalarKernel(BURG, Penalty("cauchy", mu=mu, eps=eps))
     for g, lam in ((1.0, -1e8), (1.0, -1e10), (1.0, -1e12), (0.05, -1e12)):
         root = _burg_cauchy_small_root(g, lam, mu, eps)
         (d,) = kernel_prox(k, g, lam)
@@ -875,35 +894,37 @@ def test_burg_cauchy_small_root_at_large_negative_lambda():
 
 def test_unsupported_pairing_rejected():
     with pytest.raises(ConfigurationError):
-        ScalarKernel(SHANNON, Penalty.cauchy(0.5, 0.1))
+        ScalarKernel(SHANNON, Penalty("cauchy", mu=0.5, eps=0.1))
     with pytest.raises(ConfigurationError):
-        ScalarKernel(BURG, Penalty.rank(0.5))
+        ScalarKernel(BURG, Penalty("rank", mu=0.5))
     with pytest.raises(ConfigurationError):
-        ScalarKernel(Divergence.noisy_burg(0.1), Penalty.inv_schatten(0.5, 2.0))
+        ScalarKernel(Divergence.noisy_burg(0.1), Penalty("inv_schatten", mu=0.5, p=2.0))
     with pytest.raises(ConfigurationError):
-        ScalarKernel(BURG, Penalty.fro_norm(0.5))
+        ScalarKernel(BURG, Penalty("fro_norm", mu=0.5))
 
 
 def test_eig_box_clipped_for_positive_divergences():
-    k = ScalarKernel(BURG, Penalty.eig_box(-2.0, 3.0))
+    k = ScalarKernel(BURG, Penalty("eig_box", alpha=-2.0, beta=3.0))
     assert k.penalty.alpha == 0.0
     with pytest.raises(ConfigurationError):
-        ScalarKernel(BURG, Penalty.eig_box(-2.0, -1.0))
+        ScalarKernel(BURG, Penalty("eig_box", alpha=-2.0, beta=-1.0))
     # a PSD kernel clips the same way
-    k = ScalarKernel(HS, Penalty.eig_box(-0.5, 1.5), psd=True)
+    k = ScalarKernel(HS, Penalty("eig_box", alpha=-0.5, beta=1.5), psd=True)
     assert k.penalty.alpha == 0.0 and k.psd
     with pytest.raises(ConfigurationError):
-        ScalarKernel(HS, Penalty.eig_box(-1.0, -0.5), psd=True)
+        ScalarKernel(HS, Penalty("eig_box", alpha=-1.0, beta=-0.5), psd=True)
 
 
 def test_psd_kernel_rule():
     # psd is off where the domain already forces d >= 0
-    for div, pen in ((BURG, Penalty.none()), (SHANNON, Penalty.none()),
-                     (Divergence.noisy_burg(0.2), Penalty.none()), (HS, Penalty.inv_schatten(0.5, 1.0))):
+    for div, pen in ((BURG, Penalty("none")), (SHANNON, Penalty("none")),
+                     (Divergence.noisy_burg(0.2), Penalty("none")),
+                     (HS, Penalty("inv_schatten", mu=0.5, p=1.0))):
         assert not ScalarKernel(div, pen, psd=True).psd
     lam = np.array([1.5, 0.2, -0.3, -2.0])
-    for pen in (Penalty.nuclear(0.4), Penalty.schatten(0.3, 3.0), Penalty.rank(0.1),
-                Penalty.cauchy(0.5, 0.2), Penalty.fro_norm(0.5), Penalty.spectral_norm(0.5)):
+    for pen in (Penalty("nuclear", mu=0.4), Penalty("schatten", mu=0.3, p=3.0), Penalty("rank", mu=0.1),
+                Penalty("cauchy", mu=0.5, eps=0.2), Penalty("fro_norm", mu=0.5),
+                Penalty("spectral_norm", mu=0.5)):
         k = ScalarKernel(HS, pen, psd=True)
         d = kernel_prox_vec(k, 0.8, lam)
         assert np.array_equal(d, kernel_prox_vec(ScalarKernel(HS, pen), 0.8, np.maximum(lam, 0.0)))
@@ -915,17 +936,36 @@ def test_psd_kernel_rule():
 
 def test_penalty_validation():
     with pytest.raises(ConfigurationError):
-        Penalty.nuclear(0.0)
+        Penalty("nuclear", mu=0.0)
     with pytest.raises(ConfigurationError):
-        Penalty.schatten(0.5, 0.5)
+        Penalty("schatten", mu=0.5, p=0.5)
     with pytest.raises(ConfigurationError):
-        Penalty.inv_schatten(0.5, 0.0)
+        Penalty("inv_schatten", mu=0.5, p=0.0)
     with pytest.raises(ConfigurationError):
-        Penalty.eig_box(2.0, 1.0)
+        Penalty("eig_box", alpha=2.0, beta=1.0)
     with pytest.raises(ConfigurationError):
-        Penalty.cauchy(0.5, 0.0)
+        Penalty("cauchy", mu=0.5, eps=0.0)
     with pytest.raises(ConfigurationError):
         Divergence.noisy_burg(-0.1)
+
+
+# a value every kind accepts for each penalty parameter
+_PARAM_VALUES = {"mu": 0.3, "p": 1.5, "eps": 0.1, "alpha": 0.5, "beta": 2.0}
+
+
+@pytest.mark.parametrize("kind", sorted(_PEN_PARAMS))
+def test_penalty_takes_only_its_own_parameters(kind):
+    # _PEN_PARAMS is the one declaration of a kind's parameters: the kind builds
+    # from them, the kernel spec builds the same penalty, and any other
+    # parameter is an error naming it unless it is 0 (its unset value)
+    own = {key: _PARAM_VALUES[key] for key in _PEN_PARAMS[kind]}
+    pen = Penalty(kind, **own)
+    spec = " ".join(f"{key}={val}" for key, val in own.items())
+    assert parse_kernel(f"penalty={kind} {spec}").penalty == pen
+    for key in sorted(set(_PARAM_VALUES) - set(own)):
+        assert Penalty(kind, **own, **{key: 0.0}) == pen
+        with pytest.raises(ConfigurationError, match=rf"^penalty '{kind}' takes no parameter '{key}'$"):
+            Penalty(kind, **own, **{key: 1.0})
 
 
 def test_parse_kernel():
@@ -950,17 +990,17 @@ _DIV_SPELLINGS = [
     (("noisy_burg", "noisyburg"), Divergence.noisy_burg(0.25)),
 ]
 _PEN_SPELLINGS = [
-    (("none",), Penalty.none()),
-    (("nuclear",), Penalty.nuclear(0.3)),
-    (("fro_norm", "fro"), Penalty.fro_norm(0.3)),
-    (("fro_squared", "frosq"), Penalty.fro_squared(0.3)),
-    (("schatten",), Penalty.schatten(0.3, 1.5)),
-    (("inv_schatten", "invschatten"), Penalty.inv_schatten(0.3, 1.5)),
-    (("fro_ball", "froball"), Penalty.fro_ball(0.5)),
-    (("eig_box", "eigbox"), Penalty.eig_box(0.5, 2.0)),
-    (("rank",), Penalty.rank(0.3)),
-    (("cauchy",), Penalty.cauchy(0.3, 0.1)),
-    (("spectral_norm", "spectral"), Penalty.spectral_norm(0.3)),
+    (("none",), Penalty("none")),
+    (("nuclear",), Penalty("nuclear", mu=0.3)),
+    (("fro_norm", "fro"), Penalty("fro_norm", mu=0.3)),
+    (("fro_squared", "frosq"), Penalty("fro_squared", mu=0.3)),
+    (("schatten",), Penalty("schatten", mu=0.3, p=1.5)),
+    (("inv_schatten", "invschatten"), Penalty("inv_schatten", mu=0.3, p=1.5)),
+    (("fro_ball", "froball"), Penalty("fro_ball", alpha=0.5)),
+    (("eig_box", "eigbox"), Penalty("eig_box", alpha=0.5, beta=2.0)),
+    (("rank",), Penalty("rank", mu=0.3)),
+    (("cauchy",), Penalty("cauchy", mu=0.3, eps=0.1)),
+    (("spectral_norm", "spectral"), Penalty("spectral_norm", mu=0.3)),
 ]
 
 
@@ -969,7 +1009,7 @@ def test_parse_kernel_every_name_and_alias():
     for names, div in _DIV_SPELLINGS:
         for name in names + tuple(nm.upper() for nm in names):
             k = parse_kernel(f"divergence={name} penalty=none {_SPEC_PARAMS}")
-            assert k == ScalarKernel(div, Penalty.none()), name
+            assert k == ScalarKernel(div, Penalty("none")), name
     for names, pen in _PEN_SPELLINGS:
         for name in names + tuple(nm.upper() for nm in names):
             k = parse_kernel(f"divergence=hs penalty={name} {_SPEC_PARAMS}")
@@ -977,15 +1017,15 @@ def test_parse_kernel_every_name_and_alias():
 
 
 def test_parse_kernel_defaults():
-    assert parse_kernel("") == ScalarKernel(HS, Penalty.none())
+    assert parse_kernel("") == ScalarKernel(HS, Penalty("none"))
     assert parse_kernel("divergence=noisy_burg") == ScalarKernel(
-        Divergence.noisy_burg(0.0), Penalty.none()
+        Divergence.noisy_burg(0.0), Penalty("none")
     )
-    assert parse_kernel("penalty=eig_box").penalty == Penalty.eig_box(-math.inf, math.inf)
-    assert parse_kernel("penalty=eigbox alpha=1").penalty == Penalty.eig_box(1.0, math.inf)
-    assert parse_kernel("penalty=eig_box beta=-1").penalty == Penalty.eig_box(-math.inf, -1.0)
-    assert parse_kernel("divergence=burg penalty=eig_box").penalty == Penalty.eig_box(0.0, math.inf)
-    assert parse_kernel("penalty=fro_ball").penalty == Penalty.fro_ball(0.0)
+    assert parse_kernel("penalty=eig_box").penalty == Penalty("eig_box", alpha=-math.inf, beta=math.inf)
+    assert parse_kernel("penalty=eigbox alpha=1").penalty == Penalty("eig_box", alpha=1.0, beta=math.inf)
+    assert parse_kernel("penalty=eig_box beta=-1").penalty == Penalty("eig_box", alpha=-math.inf, beta=-1.0)
+    assert parse_kernel("divergence=burg penalty=eig_box").penalty == Penalty("eig_box", alpha=0.0, beta=math.inf)
+    assert parse_kernel("penalty=fro_ball").penalty == Penalty("fro_ball", alpha=0.0)
     with pytest.raises(ConfigurationError, match="mu > 0"):
         parse_kernel("penalty=nuclear")
 
@@ -1007,7 +1047,7 @@ def test_parse_kernel_names_offending_key():
 
 
 def test_vector_kernels_match_scalar_on_singletons():
-    for pen in (Penalty.fro_norm(0.5), Penalty.fro_ball(1.2), Penalty.spectral_norm(0.5)):
+    for pen in (Penalty("fro_norm", mu=0.5), Penalty("fro_ball", alpha=1.2), Penalty("spectral_norm", mu=0.5)):
         k = ScalarKernel(HS, pen)
         for lam in (-2.0, 0.3, 4.0):
             (d,) = kernel_prox(k, 0.8, lam)
@@ -1016,7 +1056,7 @@ def test_vector_kernels_match_scalar_on_singletons():
 
 
 def test_fro_norm_vector_formula():
-    k = ScalarKernel(HS, Penalty.fro_norm(0.5))
+    k = ScalarKernel(HS, Penalty("fro_norm", mu=0.5))
     lam = np.array([3.0, 4.0])  # norm 5
     g = 1.0
     out = kernel_prox_vec(k, g, lam)
@@ -1026,7 +1066,7 @@ def test_fro_norm_vector_formula():
 
 
 def test_fro_ball_vector_formula():
-    k = ScalarKernel(HS, Penalty.fro_ball(1.0))
+    k = ScalarKernel(HS, Penalty("fro_ball", alpha=1.0))
     lam = np.array([3.0, 4.0])
     out = kernel_prox_vec(k, 1.0, lam)
     assert np.allclose(out, lam / 5.0, atol=1e-14)

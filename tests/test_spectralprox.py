@@ -69,7 +69,7 @@ def test_unpenalized_half_square_scales():
     rng = np.random.default_rng(0)
     c = rand_sym(rng, 5)
     for g in (0.3, 1.0, 2.7):
-        req = _request(ScalarKernel(HS, Penalty.none()), g, np.zeros((5, 5)), c)
+        req = _request(ScalarKernel(HS, Penalty("none")), g, np.zeros((5, 5)), c)
         out = prox_spectral(req)
         assert np.allclose(out.mat, c / (1.0 + g), atol=1e-12)
 
@@ -77,10 +77,10 @@ def test_unpenalized_half_square_scales():
 def test_one_by_one_reduces_to_kernel_prox():
     rng = np.random.default_rng(1)
     kernels = [
-        ScalarKernel(BURG, Penalty.nuclear(0.4)),
-        ScalarKernel(HS, Penalty.schatten(0.3, 3)),
-        ScalarKernel(SHANNON, Penalty.none()),
-        ScalarKernel(Divergence.noisy_burg(0.2), Penalty.inv_schatten(0.1, 1.0)),
+        ScalarKernel(BURG, Penalty("nuclear", mu=0.4)),
+        ScalarKernel(HS, Penalty("schatten", mu=0.3, p=3.0)),
+        ScalarKernel(SHANNON, Penalty("none")),
+        ScalarKernel(Divergence.noisy_burg(0.2), Penalty("inv_schatten", mu=0.1, p=1.0)),
     ]
     for k in kernels:
         for _ in range(5):
@@ -96,14 +96,14 @@ def test_one_by_one_reduces_to_kernel_prox():
 def test_random_search_cannot_beat_prox_n3():
     rng = np.random.default_rng(2)
     kernels = [
-        ScalarKernel(HS, Penalty.nuclear(0.5)),
-        ScalarKernel(BURG, Penalty.nuclear(0.3)),
-        ScalarKernel(SHANNON, Penalty.fro_squared(0.4)),
-        ScalarKernel(HS, Penalty.nuclear(0.5), psd=True),
-        ScalarKernel(HS, Penalty.fro_norm(0.5), psd=True),
-        ScalarKernel(HS, Penalty.fro_ball(0.5), psd=True),
-        ScalarKernel(HS, Penalty.spectral_norm(0.5), psd=True),
-        ScalarKernel(HS, Penalty.eig_box(-0.5, 1.5), psd=True),
+        ScalarKernel(HS, Penalty("nuclear", mu=0.5)),
+        ScalarKernel(BURG, Penalty("nuclear", mu=0.3)),
+        ScalarKernel(SHANNON, Penalty("fro_squared", mu=0.4)),
+        ScalarKernel(HS, Penalty("nuclear", mu=0.5), psd=True),
+        ScalarKernel(HS, Penalty("fro_norm", mu=0.5), psd=True),
+        ScalarKernel(HS, Penalty("fro_ball", alpha=0.5), psd=True),
+        ScalarKernel(HS, Penalty("spectral_norm", mu=0.5), psd=True),
+        ScalarKernel(HS, Penalty("eig_box", alpha=-0.5, beta=1.5), psd=True),
     ]
     for k in kernels:
         cbar = rand_sym(rng, 3) + 2.0 * np.eye(3)
@@ -128,7 +128,7 @@ def test_random_search_cannot_beat_prox_n3():
 
 def test_orthogonal_equivariance():
     rng = np.random.default_rng(3)
-    k = ScalarKernel(HS, Penalty.schatten(0.4, 3))
+    k = ScalarKernel(HS, Penalty("schatten", mu=0.4, p=3.0))
     cbar = rand_sym(rng, 6)
     tmat = rand_sym(rng, 6, scale=0.3)
     out = prox_spectral(_request(k, 0.7, tmat, cbar)).mat
@@ -139,7 +139,7 @@ def test_orthogonal_equivariance():
 
 def test_output_commutes_with_input():
     rng = np.random.default_rng(4)
-    k = ScalarKernel(BURG, Penalty.fro_squared(0.2))
+    k = ScalarKernel(BURG, Penalty("fro_squared", mu=0.2))
     cbar = rand_spd(rng, 5)
     tmat = rand_sym(rng, 5, scale=0.2)
     g = 1.1
@@ -151,7 +151,7 @@ def test_output_commutes_with_input():
 def test_psd_clips_eigenvalues():
     rng = np.random.default_rng(5)
     cbar = rand_sym(rng, 6) - 2.0 * np.eye(6)
-    req = _request(ScalarKernel(HS, Penalty.nuclear(0.2), psd=True), 1.0, np.zeros((6, 6)), cbar)
+    req = _request(ScalarKernel(HS, Penalty("nuclear", mu=0.2), psd=True), 1.0, np.zeros((6, 6)), cbar)
     out = prox_spectral(req)
     assert np.linalg.eigvalsh(out.mat)[0] >= -1e-12
 
@@ -161,7 +161,7 @@ def test_brute_force_2x2_sample():
     from _oracles import brute_force_2x2, eig2
 
     rng = np.random.default_rng(6)
-    for k in (ScalarKernel(HS, Penalty.nuclear(0.5)), ScalarKernel(BURG, Penalty.none())):
+    for k in (ScalarKernel(HS, Penalty("nuclear", mu=0.5)), ScalarKernel(BURG, Penalty("none"))):
         cbar = rand_sym(rng, 2) + 1.5 * np.eye(2)
         tmat = rand_sym(rng, 2, scale=0.4)
         g = 0.8
@@ -233,7 +233,7 @@ def test_bregman_prox_identity_when_unpenalized():
     rng = np.random.default_rng(9)
     y = rand_spd(rng, 4)
     for div in (HS, BURG, SHANNON):
-        out = bregman_prox(div, Penalty.none(), y)
+        out = bregman_prox(div, Penalty("none"), y)
         assert np.allclose(out.mat, y, atol=1e-10)
 
 
@@ -241,7 +241,7 @@ def test_bregman_prox_half_square_nuclear_is_svt():
     rng = np.random.default_rng(10)
     y = rand_sym(rng, 5)
     mu = 0.6
-    out = bregman_prox(HS, Penalty.nuclear(mu), y)
+    out = bregman_prox(HS, Penalty("nuclear", mu=mu), y)
     e = eig_sym(y)
     svt = (e.u * soft(mu, e.lam)) @ e.u.T
     assert np.linalg.norm(out.mat - svt) <= 1e-10
@@ -250,7 +250,7 @@ def test_bregman_prox_half_square_nuclear_is_svt():
 def test_bregman_prox_burg_nuclear_matches_golden():
     y = np.diag([2.0, 3.0])
     mu = 0.7
-    out = bregman_prox(BURG, Penalty.nuclear(mu), y)
+    out = bregman_prox(BURG, Penalty("nuclear", mu=mu), y)
     got = np.sort(np.diag(out.mat))
     for i, yv in enumerate([2.0, 3.0]):
         def breg_obj(d, yv=yv):
@@ -264,7 +264,9 @@ def test_bregman_prox_burg_nuclear_matches_golden():
         assert got[i] == pytest.approx(yv / (1.0 + mu * yv), rel=1e-12)
 
 
-@pytest.mark.parametrize("pen", [Penalty.nuclear(1e308), Penalty.schatten(1e308, 1.0)], ids=["nuclear", "schatten1"])
+@pytest.mark.parametrize(
+    "pen", [Penalty("nuclear", mu=1e308), Penalty("schatten", mu=1e308, p=1.0)], ids=["nuclear", "schatten1"]
+)
 @pytest.mark.parametrize("y, expect", [
     # mu*y overflowed in y/(1 + mu*y), which gave 0, outside Burg's domain
     ([3.0, 0.5], [1e-308, 1e-308]),
@@ -278,18 +280,18 @@ def test_bregman_prox_burg_linear_row_at_extreme_weight(pen, y, expect):
 
 def test_bregman_prox_shannon_nuclear():
     y = np.diag([1.0, 4.0])
-    out = bregman_prox(SHANNON, Penalty.nuclear(0.5), y)
+    out = bregman_prox(SHANNON, Penalty("nuclear", mu=0.5), y)
     assert np.allclose(np.sort(np.diag(out.mat)), np.array([1.0, 4.0]) * math.exp(-0.5))
 
 
 def test_bregman_prox_rejections():
     y = np.eye(3)
     with pytest.raises(ConfigurationError):
-        bregman_prox(Divergence.noisy_burg(0.1), Penalty.none(), y)
+        bregman_prox(Divergence.noisy_burg(0.1), Penalty("none"), y)
     with pytest.raises(ConfigurationError):
-        bregman_prox(HS, Penalty.rank(0.5), y)
+        bregman_prox(HS, Penalty("rank", mu=0.5), y)
     with pytest.raises(DomainError):
-        bregman_prox(BURG, Penalty.nuclear(0.5), np.diag([1.0, -1.0]))
+        bregman_prox(BURG, Penalty("nuclear", mu=0.5), np.diag([1.0, -1.0]))
 
 
 def test_bregman_prox_stays_in_domain():
@@ -297,11 +299,11 @@ def test_bregman_prox_stays_in_domain():
     for _ in range(20):
         y = rand_spd(rng, 4)
         for div, pen in (
-            (BURG, Penalty.fro_squared(0.4)),
-            (BURG, Penalty.schatten(0.3, 3.0)),
-            (BURG, Penalty.inv_schatten(0.2, 1.0)),
-            (SHANNON, Penalty.fro_squared(0.4)),
-            (SHANNON, Penalty.schatten(0.3, 2.5)),
+            (BURG, Penalty("fro_squared", mu=0.4)),
+            (BURG, Penalty("schatten", mu=0.3, p=3.0)),
+            (BURG, Penalty("inv_schatten", mu=0.2, p=1.0)),
+            (SHANNON, Penalty("fro_squared", mu=0.4)),
+            (SHANNON, Penalty("schatten", mu=0.3, p=2.5)),
         ):
             out = bregman_prox(div, pen, y)
             assert np.linalg.eigvalsh(out.mat)[0] > 0
@@ -311,13 +313,13 @@ def test_bregman_prox_scalar_oracle_sweep():
     # per-eigenvalue check: psi(d) + D_phi(d, y) minimized, via golden section
     rng = np.random.default_rng(12)
     cases = [
-        (BURG, Penalty.fro_squared(0.5)),
-        (BURG, Penalty.schatten(0.4, 3.0)),
-        (BURG, Penalty.inv_schatten(0.3, 1.5)),
-        (SHANNON, Penalty.fro_squared(0.3)),
-        (SHANNON, Penalty.schatten(0.5, 3.0)),
-        (HS, Penalty.schatten(0.5, 3.0)),
-        (HS, Penalty.eig_box(0.2, 1.4)),
+        (BURG, Penalty("fro_squared", mu=0.5)),
+        (BURG, Penalty("schatten", mu=0.4, p=3.0)),
+        (BURG, Penalty("inv_schatten", mu=0.3, p=1.5)),
+        (SHANNON, Penalty("fro_squared", mu=0.3)),
+        (SHANNON, Penalty("schatten", mu=0.5, p=3.0)),
+        (HS, Penalty("schatten", mu=0.5, p=3.0)),
+        (HS, Penalty("eig_box", alpha=0.2, beta=1.4)),
     ]
     for div, pen in cases:
         yv = float(rng.uniform(0.3, 4.0))

@@ -47,7 +47,7 @@ def _cov_spec(n, sigma, seed, mu0=0.2, mu1=0.1, blocks=None):
     ds = sample_gaussian(y_star, sigma, n, seed + 1)
     s = empirical_cov(ds)
     tmat = s.mat - sigma * sigma * np.eye(n)
-    g0 = Penalty.nuclear(mu0) if mu0 > 0 else Penalty.none()
+    g0 = Penalty("nuclear", mu=mu0) if mu0 > 0 else Penalty("none")
     spec = ObjectiveSpec(ScalarKernel(HS, g0, psd=True), SymMatrix(tmat, strict=False), mu1)
     return spec, s, y_star
 
@@ -64,9 +64,9 @@ def test_prox_l1_examples():
 
 
 def test_objective_eval_examples():
-    spec = ObjectiveSpec(ScalarKernel(HS, Penalty.none()), _zeros(2))
+    spec = ObjectiveSpec(ScalarKernel(HS, Penalty("none")), _zeros(2))
     assert objective_eval(spec, np.eye(2)) == pytest.approx(1.0, abs=1e-14)
-    spec_b = ObjectiveSpec(ScalarKernel(BURG, Penalty.none()), _zeros(3))
+    spec_b = ObjectiveSpec(ScalarKernel(BURG, Penalty("none")), _zeros(3))
     assert objective_eval(spec_b, np.eye(3)) == pytest.approx(0.0, abs=1e-14)
 
 
@@ -79,7 +79,7 @@ def test_objective_eval_componentwise_oracle():
         tmat = rand_sym(rng, n, scale=0.4)
         mu1 = float(rng.uniform(0.0, 0.5))
         lam = np.linalg.eigvalsh(SymMatrix(c).mat)
-        for pen in (Penalty.schatten(0.3, 3.0), Penalty.fro_squared(0.3)):
+        for pen in (Penalty("schatten", mu=0.3, p=3.0), Penalty("fro_squared", mu=0.3)):
             spec = ObjectiveSpec(ScalarKernel(BURG, pen), SymMatrix(tmat, strict=False), mu1)
             expect = (
                 float(np.sum(phi_value("burg", 0.0, lam)))
@@ -91,7 +91,7 @@ def test_objective_eval_componentwise_oracle():
 
 
 def test_objective_eval_psd_indicator():
-    spec = ObjectiveSpec(ScalarKernel(HS, Penalty.none(), psd=True), _zeros(2))
+    spec = ObjectiveSpec(ScalarKernel(HS, Penalty("none"), psd=True), _zeros(2))
     assert objective_eval(spec, np.diag([1.0, -0.5])) == math.inf
     assert math.isfinite(objective_eval(spec, np.diag([1.0, 0.0])))
 
@@ -99,7 +99,7 @@ def test_objective_eval_psd_indicator():
 def test_dr_unregularized_quadratic():
     # min ||C||^2/2: the solution is zero and the first shadow is c0/(1+gamma)
     n = 4
-    spec = ObjectiveSpec(ScalarKernel(HS, Penalty.none()), _zeros(n))
+    spec = ObjectiveSpec(ScalarKernel(HS, Penalty("none")), _zeros(n))
     c0 = SymMatrix(np.diag([4.0, 3.0, 2.0, 1.0]))
     cfg = DRConfig(gamma=1.0, alpha=1.5, eps=1e-14, max_iter=500)
     rep = dr_solve(spec, cfg, c0)
@@ -113,7 +113,7 @@ def test_dr_starts_outside_the_domain():
     # the first shadow iterate is a prox, so it lies in the domain of Burg's
     # -log det even from a start that does not: the run converges to the
     # solution it reaches from the identity; only the start's size is checked
-    spec = ObjectiveSpec(ScalarKernel(BURG, Penalty.none()), _zeros(2), 0.1)
+    spec = ObjectiveSpec(ScalarKernel(BURG, Penalty("none")), _zeros(2), 0.1)
     out = dr_solve(spec, DRConfig(), np.diag([1.0, -1.0]))
     ref = dr_solve(spec, DRConfig(), np.eye(2))
     assert out.stop_reason == ref.stop_reason == "tolerance"
@@ -234,11 +234,11 @@ def test_config_validation():
     cfg = MMConfig(inner=DRConfig(max_iter=np.int64(50), anderson=np.int32(2)), outer_max=np.int64(3))
     assert (cfg.inner.max_iter, cfg.inner.anderson, cfg.outer_max) == (50, 2, 3)
     with pytest.raises(ConfigurationError, match="unsupported pairing"):
-        ObjectiveSpec(ScalarKernel(BURG, Penalty.rank(0.5)), _zeros(2))
+        ObjectiveSpec(ScalarKernel(BURG, Penalty("rank", mu=0.5)), _zeros(2))
     with pytest.raises(ConfigurationError, match="mu1"):
-        ObjectiveSpec(ScalarKernel(HS, Penalty.none()), _zeros(2), math.nan)
+        ObjectiveSpec(ScalarKernel(HS, Penalty("none")), _zeros(2), math.nan)
     # one gamma rule for the solver and the three prox entry points
-    k = ScalarKernel(BURG, Penalty.none())
+    k = ScalarKernel(BURG, Penalty("none"))
     for bad in (math.inf, math.nan, -1.0):
         with pytest.raises(ConfigurationError, match="gamma"):
             DRConfig(gamma=bad)
@@ -250,7 +250,7 @@ def test_config_validation():
             SpectralProxRequest(k, bad, _zeros(2), _zeros(2))
 
 
-_BURG_NONE = ScalarKernel(BURG, Penalty.none())
+_BURG_NONE = ScalarKernel(BURG, Penalty("none"))
 # Every real parameter, where it is declared: (key, site, an accepted value
 # at or just above the bound, a finite value outside the range).  Set bounds
 # (eig_box, fro_ball, the l1-ball radius) may be infinite and are not here.
@@ -261,11 +261,13 @@ _REAL_PARAMS = [
     ("gamma", "SpectralProxRequest", lambda x: SpectralProxRequest(_BURG_NONE, x, _zeros(2), _zeros(2)),
      1e-300, -1.0),
     ("sigma2", "noisy_burg", Divergence.noisy_burg, 0.0, -1e-300),
-    *[("mu", kind, lambda x, kind=kind: Penalty(kind, mu=x, p=1.0, eps=1.0), 1e-300, 0.0)
-      for kind, params in _PEN_PARAMS.items() if "mu" in params],
-    ("p", "schatten", lambda x: Penalty.schatten(1.0, x), 1.0, 1.0 - 1e-15),
-    ("p", "inv_schatten", lambda x: Penalty.inv_schatten(1.0, x), 1e-300, 0.0),
-    ("eps", "cauchy", lambda x: Penalty.cauchy(1.0, x), 1e-300, 0.0),
+    # each kind that takes mu, built from its own parameters only
+    *[("mu", kind, lambda x, kind=kind, own=own: Penalty(kind, **{**dict.fromkeys(own, 1.0), "mu": x}),
+       1e-300, 0.0)
+      for kind, own in _PEN_PARAMS.items() if "mu" in own],
+    ("p", "schatten", lambda x: Penalty("schatten", mu=1.0, p=x), 1.0, 1.0 - 1e-15),
+    ("p", "inv_schatten", lambda x: Penalty("inv_schatten", mu=1.0, p=x), 1e-300, 0.0),
+    ("eps", "cauchy", lambda x: Penalty("cauchy", mu=1.0, eps=x), 1e-300, 0.0),
     ("mu1", "ObjectiveSpec", lambda x: ObjectiveSpec(_BURG_NONE, _zeros(2), x), 0.0, -1e-300),
     ("eps", "DRConfig", lambda x: DRConfig(eps=x), 0.0, -1e-300),
     ("tau", "prox_l1_matrix", lambda x: prox_l1_matrix(x, np.eye(2)), 0.0, -1e-300),

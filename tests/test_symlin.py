@@ -166,6 +166,18 @@ def test_symmatrix_strict_constructor():
         SymMatrix(np.zeros((2, 3)))
 
 
+def test_symmatrix_at_large_finite_magnitude():
+    # 0.5*(m + m.T) overflowed and stored inf for this finite input
+    m = SymMatrix(np.diag([1e308, 1.0]))
+    assert m.mat[0, 0] == 1e308 and m.asym_residual == 0.0
+    # both Frobenius norms overflowed, and inf > 1e-8 * inf is false: this
+    # was accepted as symmetric with residual inf
+    with pytest.raises(InvalidInputError, match="not symmetric"):
+        SymMatrix(np.array([[1e200, 1e199], [0.0, 1.0]]))
+    loose = SymMatrix(np.array([[1e200, 1e199], [0.0, 1.0]]), strict=False)
+    assert loose.asym_residual == pytest.approx(5e198 * math.sqrt(2.0), rel=1e-12)
+
+
 def test_symmatrix_immutable():
     m = SymMatrix(np.eye(2))
     with pytest.raises(ValueError):
