@@ -51,9 +51,13 @@ from .symlin import (
 )
 
 # The solver keys' reference defaults are the solvers' own: DRConfig's for
-# solve-cov, MMConfig's for the MM commands.
+# solve-cov, MMConfig's for the MM commands.  The one exception is gap_tol,
+# a solve-cov key only: off in the library, 1e-6 there.
 _MM = MMConfig()
-_MM_SOLVER = {**asdict(_MM.inner), "outer_eps": _MM.outer_eps, "outer_max": _MM.outer_max}
+_MM_SOLVER = {
+    **{k: v for k, v in asdict(_MM.inner).items() if k != "gap_tol"},
+    "outer_eps": _MM.outer_eps, "outer_max": _MM.outer_max,
+}
 
 # Every key of a command is also its flag (max_iter <-> --max-iter).
 _DEFAULTS = {
@@ -67,7 +71,7 @@ _DEFAULTS = {
     },
     "solve-cov": {
         "data": None, "n": 100, "blocks": "14,36,18,10,22", "sigma": "0.1",
-        "nsamples": None, "mu0": 0.2, "mu1": 0.1, **asdict(DRConfig()), "seed": 0,
+        "nsamples": None, "mu0": 0.2, "mu1": 0.1, **asdict(DRConfig()), "gap_tol": 1e-6, "seed": 0,
         "support_tol": 1e-8, "out": ".",
     },
     "solve-glasso": {
@@ -109,6 +113,7 @@ _HELP = {
     "eps": "relative-objective tolerance",
     "max_iter": "iteration cap (Douglas-Rachford map evaluations)",
     "anderson": "Anderson acceleration memory (0: plain Douglas-Rachford)",
+    "gap_tol": "relative duality-gap tolerance, checked beside eps (0: eps alone)",
     "reps": "replications per sigma",
     "method": "comma-separated subset of mm,glasso,dr-noisy",
     "wall_times": "record wall-clock seconds (breaks byte-determinism of results.csv)",
@@ -235,7 +240,7 @@ def _load_or_make(eff, maker):
 
 
 def _dr_config(eff):
-    return DRConfig(**{f.name: eff[f.name] for f in fields(DRConfig)})
+    return DRConfig(**{f.name: eff[f.name] for f in fields(DRConfig) if f.name in eff})
 
 
 def _mm_config(eff):
@@ -316,7 +321,8 @@ def _cmd_solve_cov(eff):
     raw = metrics(clipped_raw_estimator(s, sigma), ds.y_star, support_tol=eff["support_tol"])
     line = (
         f"tpr={format_float(m.tpr)} fpr={format_float(m.fpr)} rmse={format_float(m.rmse)} "
-        f"raw_rmse={format_float(raw.rmse)} iterations={rep.iterations} stop={rep.stop_reason}"
+        f"raw_rmse={format_float(raw.rmse)} iterations={rep.iterations} stop={rep.stop_reason} "
+        f"gap={format_float(rep.gap)}"
     )
     return _write_run(eff, rep, rep, line)
 

@@ -8,8 +8,11 @@ step through the elementwise soft threshold.
 
 Convergence is monitored through the objective at the shadow sequence
 C^(k+1/2), which is the sequence that converges to a solution; the run
-stops when its relative change drops below the tolerance.  The iteration
-can be accelerated by safeguarded type-II Anderson extrapolation
+stops when its relative change drops below the tolerance (the stall
+test).  On the covariance row (half-square with a nuclear weight or none,
+PSD-constrained) a run may also stop on a certified duality gap
+(DRConfig.gap_tol), checked beside the stall test.  The iteration can be
+accelerated by safeguarded type-II Anderson extrapolation
 (DRConfig.anderson).
 """
 
@@ -42,13 +45,16 @@ class DRConfig:
     """gamma: prox scale; alpha: constant relaxation in (0, 2);
     eps: relative-objective stopping tolerance; max_iter: cap on the
     evaluations of the DR map; anderson: Anderson history length m
-    (0 runs plain Douglas-Rachford)."""
+    (0 runs plain Douglas-Rachford); gap_tol: duality-gap stopping
+    tolerance, relative to max(1, |f|), on the covariance row only
+    (0 turns the gap off)."""
 
     gamma: float = 1.0
     alpha: float = 1.5
     eps: float = 1e-10
     max_iter: int = 2000
     anderson: int = 0
+    gap_tol: float = 0.0
 
     def __post_init__(self):
         _check_real("gamma", self.gamma)
@@ -57,6 +63,7 @@ class DRConfig:
         _check_real("eps", self.eps, strict=False)
         _check_count("max_iter", self.max_iter, 1)
         _check_count("anderson", self.anderson, 0)
+        _check_real("gap_tol", self.gap_tol, strict=False)
 
 
 @dataclass
@@ -70,7 +77,8 @@ class SolveReport:
     c_final_eig is the EigenDecomp (u, d) c_final was recomposed from.
     The traces hold one entry per evaluation of the DR map (one
     eigendecomposition each), rejected Anderson candidates included;
-    anderson_rejected counts those.
+    anderson_rejected counts those.  gap is the relative duality gap at
+    the last evaluation when the run had a gap_tol, NaN otherwise.
     """
 
     c_final: SymMatrix
@@ -82,6 +90,7 @@ class SolveReport:
     iterations: int = 0
     stop_reason: str = "max_iter"
     anderson_rejected: int = 0
+    gap: float = math.nan
 
 
 def prox_l1_matrix(tau, m):
@@ -109,6 +118,23 @@ def _objective_from_d(spec, d, chalf):
 def _rel_change_within(f_new, f_prev, eps):
     """The DR and MM stop test: |f_new - f_prev| <= eps * |f_prev|."""
     return abs(f_new - f_prev) <= eps * max(abs(f_prev), 1e-300)
+
+
+# the gap is checked at every _GAP_EVERY-th evaluation: one eigvalsh each
+_GAP_EVERY = 10
+
+
+def _cov_gap(spec, g, f, chalf, c, sparse):
+    """Relative duality gap (f - D)/max(1, |f|) of the covariance row at one
+    evaluation from the governing iterate c.  The soft threshold's residual
+    V = clip((2*chalf - c - sparse)/gamma, -mu1, mu1) has |V_ij| <= mu1, so
+    by weak duality D = -1/2 ||Pi_PSD(T - mu0 I - V)||^2 bounds the optimum
+    from below; f, at the PSD shadow chalf, bounds it from above."""
+    v = np.clip((2.0 * chalf - c - sparse) / g, -spec.mu1, spec.mu1)
+    a = spec.t.mat - v
+    a.flat[:: a.shape[0] + 1] -= spec.kernel.penalty.mu
+    w = np.maximum(np.linalg.eigvalsh(a), 0.0)
+    return (f + 0.5 * float(w @ w)) / max(1.0, abs(f))
 
 
 def _dr_step(spec, cfg, c):
@@ -193,6 +219,15 @@ def dr_solve(spec, cfg, c0):
     evaluation is also a plain step.  With m = 0 every evaluation is a
     plain, accepted one and the loop is plain Douglas-Rachford.
 
+    With cfg.gap_tol > 0 (the covariance row only; any other row raises
+    ConfigurationError) the accepted evaluations 11, 21, 31, ... and the
+    budget's last one also check the relative duality gap, after the stall
+    test, and the run stops with stop_reason "gap" once it is at most
+    gap_tol, at a plain or an accepted Anderson point.  The check only
+    reads the evaluation's arrays, so a run the stall test stops first is
+    bitwise the run without it.  The gap at the last evaluation is reported
+    in SolveReport.gap, computed once more there after a stall stop.
+
     The start is read, never written, and not kept: once the loop has moved
     off it, its storage is free unless the caller holds it.
     """
@@ -201,6 +236,13 @@ def dr_solve(spec, cfg, c0):
     if x.shape != spec.t.mat.shape:
         raise InvalidInputError("c0 dimension does not match the linear term")
     hist = _Anderson(cfg.anderson, x.size) if cfg.anderson else None
+    gap_on = cfg.gap_tol > 0
+    kernel = spec.kernel
+    if gap_on and not (kernel.divergence.kind == "half_square" and kernel.penalty.kind in ("nuclear", "none")
+                       and kernel.psd):
+        raise ConfigurationError(
+            "gap_tol applies only to the covariance row (half_square with nuclear or none, psd)"
+        )
 
     obj_trace = []
     residuals = []
@@ -212,23 +254,31 @@ def dr_solve(spec, cfg, c0):
         u = chalf = sparse = p = r = None  # free the last evaluation's arrays before the next eigh
         u, d, chalf, f, sparse, r = _dr_step(spec, cfg, x)
         p = x + r
-        # an extrapolated x is dead past this line (no run stops there): reuse it
-        res = float(np.linalg.norm(np.subtract(p, x, out=x if extrapolated else None)))
+        due = gap_on and (k > 0 and k % _GAP_EVERY == 0 or k == cfg.max_iter - 1)
+        # an extrapolated x is dead past this line unless the gap reads it: reuse it
+        res = float(np.linalg.norm(np.subtract(p, x, out=x if extrapolated and not due else None)))
         obj_trace.append(f)
         residuals.append(res)
         if extrapolated and not res <= res_prev:
             rejected += 1
             hist.clear()
         else:
+            # the last evaluation is always an accepted one, so this sets the reported gap
+            gap = _cov_gap(spec, cfg.gamma, f, chalf, x, sparse) if due else math.nan
             stalled = f_prev is not None and _rel_change_within(f, f_prev, cfg.eps)
             if stalled and not extrapolated:
                 stop_reason = "tolerance"
                 break  # x stays the pre-update governing iterate, the warm-start handle
+            if gap <= cfg.gap_tol:  # NaN when not checked here
+                stop_reason = "gap"
+                break
             if hist is not None and p_prev is not None:
                 hist.push(p, p_prev, r, r_prev)
             f_prev, res_prev, p_prev, r_prev = f, res, p, r
         extrapolated = hist is not None and hist.size > 0 and not stalled and k < cfg.max_iter - 2
         x = hist.candidate(p_prev, r_prev) if extrapolated else p_prev
+    if gap_on and math.isnan(gap):  # a stall stop: x is the evaluation's iterate
+        gap = _cov_gap(spec, cfg.gamma, f, chalf, x, sparse)
     del hist, p, r, p_prev, r_prev  # free the loop's storage before the report copies
     return SolveReport(
         c_final=SymMatrix(chalf, strict=False),
@@ -240,6 +290,7 @@ def dr_solve(spec, cfg, c0):
         iterations=len(obj_trace),
         stop_reason=stop_reason,
         anderson_rejected=rejected,
+        gap=gap,
     )
 
 

@@ -1,4 +1,6 @@
+import importlib.util
 import math
+import os
 import re
 
 import numpy as np
@@ -266,6 +268,8 @@ def test_negative_anderson_exit2(tmp_path, capsys):
     # list keys: a token that is not of the key's kind, no token at all, an unknown method
     ("gen", "sigma", "abc"), ("gen", "sigma", ","), ("gen", "blocks", "3,x"), ("gen", "blocks", "2.0,3"),
     ("gen", "blocks", ""), ("bench", "method", ""), ("bench", "method", "MM"),
+    # the duality-gap tolerance
+    ("solve-cov", "gap_tol", "nan"), ("solve-cov", "gap_tol", "-1"), ("solve-cov", "gap_tol", "inf"),
 ])
 def test_bad_weight_or_outer_setting_exit2(tmp_path, capsys, cmd, key, value):
     # a negative or non-finite weight, tolerance, seed, noise level or support
@@ -334,6 +338,40 @@ def test_solve_cov_budget_exhausted_exit4(tmp_path):
     ])
     assert rc == 4
     assert (out / "estimate.csv").exists()  # outputs still written
+
+
+_CERTIFICATES = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "certificates.py")
+
+
+def _certificates():
+    # certificates.py imports numpy alone, so it loads without perfbench's runner
+    spec = importlib.util.spec_from_file_location("perfbench_certificates", _CERTIFICATES)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+@pytest.mark.parametrize("max_iter, rc, stop", [("2000", 0, "gap"), ("20", 4, "max_iter")])
+def test_solve_cov_gap_is_confirmed_by_an_independent_bound(tmp_path, capsys, max_iter, rc, stop):
+    # the benchmark's certificate builds its own dual point (300 accelerated
+    # ascent steps): it confirms a gap stop within 1e-6 and rejects a run
+    # cut short, whose reported gap is above 1e-6
+    ds = tmp_path / "ds"
+    assert run(["gen", "--scenario", "cov", "--n", "30", "--blocks", "10,20", "--seed", "1",
+                "--out", str(ds)]) == 0
+    out = tmp_path / "run"
+    capsys.readouterr()
+    assert run(["solve-cov", "--data", str(ds), "--max-iter", max_iter, "--out", str(out)]) == rc
+    line = capsys.readouterr().out
+    assert (out / "metrics.txt").read_text() == line
+    fields = dict(tok.split("=") for tok in line.split())
+    assert fields["stop"] == stop
+    samples = np.loadtxt(ds / "samples.csv", delimiter=",", ndmin=2)
+    sigma = float(re.search(r"^sigma=(.*)$", (ds / "meta.txt").read_text(), re.M).group(1))
+    estimates = [np.loadtxt(out / name, delimiter=",", ndmin=2) for name in ("estimate.csv", "estimate_sparse.csv")]
+    ok, detail = _certificates().cov_duality_gap(samples, sigma, 0.2, 0.1, *estimates)
+    assert ok == (stop == "gap"), detail
+    assert (float(fields["gap"]) <= 1e-6) == (stop == "gap")
 
 
 def test_solve_glasso_smoke(tmp_path, capsys):
@@ -532,7 +570,7 @@ def test_solve_cov_reference_scale(tmp_path):
 # Reference kinds of the typed keys, written out apart from cli._KIND;
 # every other key is a string.
 _KINDS = {
-    **dict.fromkeys(("gamma", "alpha", "eps", "mu0", "mu1", "p", "outer_eps", "support_tol"), float),
+    **dict.fromkeys(("gamma", "alpha", "eps", "gap_tol", "mu0", "mu1", "p", "outer_eps", "support_tol"), float),
     **dict.fromkeys(("n", "nsamples", "seed", "max_iter", "anderson", "outer_max", "reps"), int),
     **dict.fromkeys(("psd", "wall_times"), bool),
 }

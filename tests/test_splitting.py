@@ -270,6 +270,7 @@ _REAL_PARAMS = [
     ("eps", "cauchy", lambda x: Penalty("cauchy", mu=1.0, eps=x), 1e-300, 0.0),
     ("mu1", "ObjectiveSpec", lambda x: ObjectiveSpec(_BURG_NONE, _zeros(2), x), 0.0, -1e-300),
     ("eps", "DRConfig", lambda x: DRConfig(eps=x), 0.0, -1e-300),
+    ("gap_tol", "DRConfig", lambda x: DRConfig(gap_tol=x), 0.0, -1e-300),
     ("tau", "prox_l1_matrix", lambda x: prox_l1_matrix(x, np.eye(2)), 0.0, -1e-300),
     ("outer_eps", "MMConfig", lambda x: MMConfig(outer_eps=x), 1e-300, 0.0),
     *[(key, "NoisyGlassoProblem", lambda x, key=key: NoisyGlassoProblem(s=_zeros(2), **{key: x}), 0.0, -1e-300)
@@ -431,3 +432,87 @@ def test_anderson_config():
     for bad in (-1, 1.5, 3.0, True):
         with pytest.raises(ConfigurationError, match="anderson"):
             DRConfig(anderson=bad)
+
+
+def _assert_same_run(a, b):
+    assert a.stop_reason == b.stop_reason and a.iterations == b.iterations
+    assert a.objective_trace == b.objective_trace and a.fixed_point_residuals == b.fixed_point_residuals
+    for name in ("c_final", "c_sparse", "c_state"):
+        np.testing.assert_array_equal(getattr(a, name).mat, getattr(b, name).mat)
+
+
+def test_gap_check_only_reads_when_the_stall_stops_first():
+    # n = 20, seed 1: the stall test fires after 316 evaluations, while the
+    # gap is still above 1e-6; the gap checks on the way change nothing
+    spec, s, _ = _cov_spec(20, 0.1, seed=1)
+    c0 = SymMatrix(s.mat + np.eye(20), strict=False)
+    on = dr_solve(spec, DRConfig(gap_tol=1e-6), c0)
+    off = dr_solve(spec, DRConfig(), c0)
+    _assert_same_run(on, off)
+    assert on.stop_reason == "tolerance" and math.isnan(off.gap)
+    # the reported gap is the stopping evaluation's, from its own iterate
+    f = on.objective_trace[-1]
+    assert on.gap == splitting._cov_gap(spec, 1.0, f, on.c_final.mat, on.c_state.mat, on.c_sparse.mat)
+    assert on.gap > 1e-6
+
+
+def test_gap_stop_is_a_prefix_of_the_run_without_it():
+    # n = 20, seed 0: certified after 251 evaluations, where the stall test
+    # alone runs 1378
+    spec, s, _ = _cov_spec(20, 0.1, seed=0)
+    c0 = SymMatrix(s.mat + np.eye(20), strict=False)
+    on = dr_solve(spec, DRConfig(gap_tol=1e-6), c0)
+    off = dr_solve(spec, DRConfig(), c0)
+    k = on.iterations
+    assert on.stop_reason == "gap" and on.gap <= 1e-6
+    assert k % 10 == 1 and k < off.iterations  # checked at every 10th evaluation
+    assert on.objective_trace == off.objective_trace[:k]
+    assert on.fixed_point_residuals == off.fixed_point_residuals[:k]
+    cut = dr_solve(spec, DRConfig(eps=0.0, max_iter=k), c0)
+    np.testing.assert_array_equal(on.c_final.mat, cut.c_final.mat)
+    np.testing.assert_array_equal(on.c_sparse.mat, cut.c_sparse.mat)
+
+
+@pytest.mark.parametrize("m", [0, 6])
+def test_gap_stop_keeps_the_warm_start_handle(monkeypatch, m):
+    # c_state is the iterate the stopping evaluation started from, also when
+    # that evaluation was an accepted Anderson candidate (m = 6 stops at one)
+    spec, s, _ = _cov_spec(20, 0.1, seed=0)
+    c0 = SymMatrix(s.mat + np.eye(20), strict=False)
+    candidates, at_candidate = [], []
+    make, step = splitting._Anderson.candidate, splitting._dr_step
+
+    def candidate(self, p, r):
+        candidates.append(make(self, p, r))
+        return candidates[-1]
+
+    def recorded_step(spec, cfg, c):
+        at_candidate.append(any(c is cand for cand in candidates))
+        return step(spec, cfg, c)
+
+    monkeypatch.setattr(splitting._Anderson, "candidate", candidate)
+    monkeypatch.setattr(splitting, "_dr_step", recorded_step)
+    cfg = DRConfig(anderson=m, gap_tol=1e-6)
+    rep = dr_solve(spec, cfg, c0)
+    assert rep.stop_reason == "gap" and at_candidate[-1] == (m > 0)
+    _, _, chalf, f, sparse, _ = step(spec, cfg, rep.c_state.mat)
+    np.testing.assert_array_equal(SymMatrix(chalf, strict=False).mat, rep.c_final.mat)
+    assert f == rep.objective_trace[-1]
+    assert splitting._cov_gap(spec, cfg.gamma, f, chalf, rep.c_state.mat, sparse) == rep.gap <= 1e-6
+
+
+def test_gap_tol_only_on_the_covariance_row():
+    assert DRConfig().gap_tol == MMConfig().inner.gap_tol == 0.0
+    t = SymMatrix(np.eye(3))
+    for kernel in (
+        ScalarKernel(BURG, Penalty("nuclear", mu=0.2)),
+        ScalarKernel(HS, Penalty("nuclear", mu=0.2)),  # no PSD constraint
+        ScalarKernel(HS, Penalty("fro_squared", mu=0.2), psd=True),
+    ):
+        spec = ObjectiveSpec(kernel, t, 0.1)
+        with pytest.raises(ConfigurationError, match="gap_tol"):
+            dr_solve(spec, DRConfig(gap_tol=1e-6), np.eye(3))
+        assert math.isnan(dr_solve(spec, DRConfig(max_iter=5), np.eye(3)).gap)
+    for g0 in (Penalty("nuclear", mu=0.2), Penalty("none")):
+        spec = ObjectiveSpec(ScalarKernel(HS, g0, psd=True), t, 0.1)
+        assert math.isfinite(dr_solve(spec, DRConfig(max_iter=5, gap_tol=1e-6), np.eye(3)).gap)
